@@ -19,8 +19,8 @@
 //    next-hop row hits dominate;
 //  * batch_size=1 closed-loop tail latency: per-op must win (batching a
 //    single probe only adds collector and phase-barrier overhead);
-//  * three-simulator-mode determinism: a batched run's engine stats tree
-//    must be byte-identical across serial, event-driven and parallel.
+//  * simulator-mode determinism: a batched run's engine stats tree must be
+//    byte-identical across serial and event-driven.
 #include <string>
 #include <vector>
 
@@ -274,13 +274,13 @@ void TailLatencyLeg(const BenchArgs& args) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: one batched update-mix configuration, all three simulator
-// modes, byte-identical engine stats trees (the batch units are part of
-// the determinism envelope like every other pipeline).
+// Determinism: one batched update-mix configuration, both simulator modes,
+// byte-identical engine stats trees (the batch units are part of the
+// determinism envelope like every other pipeline).
 
 void ModeIdentityLeg(const BenchArgs& args) {
   bench::PrintHeader("batch_traversal D",
-                     "Batched runs across serial/event/parallel simulators");
+                     "Batched runs across serial/event simulators");
   struct Outcome {
     host::RunResult result;
     std::string stats_json;
@@ -291,16 +291,9 @@ void ModeIdentityLeg(const BenchArgs& args) {
     opts.n_workers = 4;
     opts.coproc.traversal = index::TraversalMode::kBatched;
     opts.coproc.batch_size = args.batch ? args.batch : 8;
-    switch (mode) {
-      case BenchArgs::SimMode::kSerial:
-        break;
-      case BenchArgs::SimMode::kEventDriven:
-        opts.timing.event_driven = true;
-        break;
-      case BenchArgs::SimMode::kParallel:
-        opts.timing.parallel_hosts = 4;
-        break;
-    }
+    BenchArgs mode_args = args;
+    mode_args.mode = mode;
+    mode_args.ApplyMode(&opts);
     core::BionicDb engine(opts);
     workload::YcsbOptions yopts;
     yopts.mode = workload::YcsbOptions::Mode::kBatchPut;
@@ -333,19 +326,15 @@ void ModeIdentityLeg(const BenchArgs& args) {
     return out;
   };
   const Outcome serial = run_mode(BenchArgs::SimMode::kSerial, true);
-  for (auto [mode, name] :
-       {std::pair{BenchArgs::SimMode::kEventDriven, "event"},
-        std::pair{BenchArgs::SimMode::kParallel, "parallel"}}) {
-    const Outcome other = run_mode(mode, false);
-    Check(other.final_now == serial.final_now,
-          std::string("final cycle matches serial: ") + name);
-    Check(other.result.committed == serial.result.committed &&
-              other.result.failed == serial.result.failed,
-          std::string("txn counts match serial: ") + name);
-    Check(other.stats_json == serial.stats_json,
-          std::string("stats tree byte-identical to serial: ") + name);
-  }
-  std::printf("serial/event/parallel: %llu committed, final cycle %llu\n",
+  const Outcome event = run_mode(BenchArgs::SimMode::kEventDriven, false);
+  Check(event.final_now == serial.final_now,
+        "final cycle matches serial: event");
+  Check(event.result.committed == serial.result.committed &&
+            event.result.failed == serial.result.failed,
+        "txn counts match serial: event");
+  Check(event.stats_json == serial.stats_json,
+        "stats tree byte-identical to serial: event");
+  std::printf("serial/event: %llu committed, final cycle %llu\n",
               static_cast<unsigned long long>(serial.result.committed),
               static_cast<unsigned long long>(serial.final_now));
 }

@@ -32,9 +32,9 @@ namespace bionicdb::bench {
 
 struct BenchArgs {
   /// Simulator execution mode for engine-backed runs (results are
-  /// bit-identical across all three; the flag exists so determinism can be
+  /// bit-identical across both; the flag exists so determinism can be
   /// demonstrated — and CI can exercise every mode — from one binary).
-  enum class SimMode { kSerial, kEventDriven, kParallel };
+  enum class SimMode { kSerial, kEventDriven };
 
   bool quick = false;
   /// Minimal run: one small configuration, no native baselines. Exercises
@@ -52,25 +52,11 @@ struct BenchArgs {
   uint32_t scan_len = 0;
 
   void ApplyMode(core::EngineOptions* opts) const {
-    switch (mode) {
-      case SimMode::kSerial:
-        break;
-      case SimMode::kEventDriven:
-        opts->timing.event_driven = true;
-        break;
-      case SimMode::kParallel:
-        opts->timing.parallel_hosts = 4;
-        break;
-    }
+    if (mode == SimMode::kEventDriven) opts->timing.event_driven = true;
   }
 
   const char* ModeName() const {
-    switch (mode) {
-      case SimMode::kSerial: return "serial";
-      case SimMode::kEventDriven: return "event";
-      case SimMode::kParallel: return "parallel";
-    }
-    return "?";
+    return mode == SimMode::kEventDriven ? "event" : "serial";
   }
 
   static void PrintUsage(const char* prog, std::FILE* out) {
@@ -81,8 +67,7 @@ struct BenchArgs {
                  "  --smoke      minimal single-config run (implies "
                  "--quick)\n"
                  "  --seed=N     workload RNG seed (default 42)\n"
-                 "  --mode=M     simulator mode: serial (default), event, "
-                 "parallel\n"
+                 "  --mode=M     simulator mode: serial (default), event\n"
                  "  --cc=S       CC scheme filter: to, sgt, mvcc, all "
                  "(default)\n"
                  "  --batch=N    index batch-size override for the "
@@ -127,8 +112,6 @@ struct BenchArgs {
           args.mode = SimMode::kSerial;
         } else if (std::strcmp(m, "event") == 0) {
           args.mode = SimMode::kEventDriven;
-        } else if (std::strcmp(m, "parallel") == 0) {
-          args.mode = SimMode::kParallel;
         } else {
           std::fprintf(stderr, "%s: bad value in '%s'\n", argv[0], argv[i]);
           PrintUsage(argv[0], stderr);

@@ -15,7 +15,7 @@
 // plateauing while p99 rises sharply. A short bursty (MMPP) leg shows the
 // same offered load arriving in bursts costing materially more tail
 // latency. Results are bit-identical for a fixed seed across the
-// simulator's three modes (--mode=serial|event|parallel).
+// simulator's two modes (--mode=serial|event).
 #include <cmath>
 #include <vector>
 

@@ -25,12 +25,9 @@
 //    every cycle and there is almost nothing to skip. This leg is the
 //    per-cycle ticking stress test the simulator-performance work (and
 //    scripts/perf_gate.py) tracks.
-//  * parallel_multisite — 4-partition multisite YCSB, event-driven serial
-//    vs 4 host-thread islands (TimingConfig::parallel_hosts, DESIGN.md
-//    section 11), again asserted bit-identical. The >= 1.5x speedup floor
-//    is only enforced when the host actually has >= 4 hardware threads
-//    (CI runners and laptops qualify; a 1-core container still reports
-//    the number but cannot be expected to beat its own serial run).
+//  * multisite — 4-partition multisite YCSB: every transaction sends index
+//    requests to other partitions, so the on-chip message fabric (wires,
+//    inboxes, remote dispatch) is on the hot path. The fabric-heavy leg.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -50,6 +47,8 @@ struct Leg {
   uint32_t max_contexts;
   uint32_t accesses_per_txn;
   uint32_t dram_latency_cycles;
+  workload::YcsbOptions::Mode ycsb_mode =
+      workload::YcsbOptions::Mode::kReadOnly;
 };
 
 struct ModeResult {
@@ -68,7 +67,7 @@ ModeResult RunMode(const BenchArgs& args, const Leg& leg, bool event_driven,
   core::BionicDb engine(opts);
 
   workload::YcsbOptions yopts;
-  yopts.mode = workload::YcsbOptions::Mode::kReadOnly;
+  yopts.mode = leg.ycsb_mode;
   yopts.accesses_per_txn = leg.accesses_per_txn;
   yopts.records_per_partition = args.smoke ? 2'000 : args.quick ? 5'000
                                                                : 20'000;
@@ -165,90 +164,6 @@ void RunLeg(const BenchArgs& args, const Leg& leg, TablePrinter* table,
                  TablePrinter::Num(speedup, 1) + "x"});
 }
 
-ModeResult RunParallelMode(const BenchArgs& args, uint32_t parallel_hosts,
-                           bench::BenchReport* report) {
-  core::EngineOptions opts;
-  opts.n_workers = 4;
-  opts.timing.event_driven = true;  // serial baseline also warps
-  opts.timing.parallel_hosts = parallel_hosts;
-  core::BionicDb engine(opts);
-
-  workload::YcsbOptions yopts;
-  yopts.mode = workload::YcsbOptions::Mode::kMultisite;
-  yopts.accesses_per_txn = 4;
-  yopts.records_per_partition = args.smoke ? 2'000 : args.quick ? 5'000
-                                                               : 20'000;
-  yopts.payload_len = args.quick ? 64 : 256;
-  workload::Ycsb ycsb(&engine, yopts);
-  if (auto s = ycsb.Setup(); !s.ok()) {
-    std::fprintf(stderr, "setup failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-
-  const uint64_t txns_per_worker = args.smoke ? 150 : args.quick ? 400
-                                                                 : 2'000;
-  Rng rng(args.seed);
-  host::TxnList txns;
-  for (uint32_t w = 0; w < opts.n_workers; ++w) {
-    for (uint64_t i = 0; i < txns_per_worker; ++i) {
-      txns.emplace_back(w, ycsb.MakeTxn(&rng, w));
-    }
-  }
-
-  ModeResult mr;
-  mr.run = host::RunToCompletion(&engine, txns);
-  StatsRegistry engine_stats;
-  engine.CollectStats(&engine_stats);
-  mr.engine_stats_json = engine_stats.ToJson(0);
-  mr.warp = engine.simulator().warp_stats();
-  report->AddEngineRun(parallel_hosts > 0
-                           ? "parallel_multisite/parallel_islands"
-                           : "parallel_multisite/event_driven",
-                       &engine, mr.run);
-  return mr;
-}
-
-void RunParallelLeg(const BenchArgs& args, TablePrinter* table,
-                    bench::BenchReport* report) {
-  const Leg leg{"parallel_multisite", 4, 32, 4, 95};
-  ModeResult base = RunParallelMode(args, /*parallel_hosts=*/0, report);
-  ModeResult par = RunParallelMode(args, /*parallel_hosts=*/4, report);
-  CheckEquivalent(leg, base, par);
-
-  const double base_cps = base.run.SimCyclesPerSecond();
-  const double par_cps = par.run.SimCyclesPerSecond();
-  const double speedup = base_cps > 0 ? par_cps / base_cps : 0;
-  const uint32_t hw_threads = host::HostHardwareThreads();
-
-  StatsRegistry& reg = report->AddRun("speed/parallel_multisite");
-  reg.SetCounter("cycles", base.run.cycles);
-  reg.SetGauge("event_driven/wall_seconds", base.run.wall_seconds);
-  reg.SetGauge("event_driven/sim_cycles_per_second", base_cps);
-  reg.SetGauge("parallel_islands/wall_seconds", par.run.wall_seconds);
-  reg.SetGauge("parallel_islands/sim_cycles_per_second", par_cps);
-  reg.SetCounter("parallel_islands/islands", 4);
-  reg.SetCounter("host_hardware_threads", hw_threads);
-  reg.SetGauge("speedup_vs_event_driven", speedup);
-
-  table->AddRow({leg.name, "event_driven", std::to_string(base.run.cycles),
-                 TablePrinter::Num(base.run.wall_seconds * 1e3, 1),
-                 bench::Mops(base_cps), "-", "-"});
-  table->AddRow({leg.name, "parallel_x4", std::to_string(par.run.cycles),
-                 TablePrinter::Num(par.run.wall_seconds * 1e3, 1),
-                 bench::Mops(par_cps), "-",
-                 TablePrinter::Num(speedup, 2) + "x"});
-  std::printf("parallel_multisite: %.2fx speedup with 4 islands on %u "
-              "hardware threads\n",
-              speedup, hw_threads);
-  if (hw_threads >= 4 && speedup < 1.5) {
-    std::fprintf(stderr,
-                 "sim_speed: parallel islands speedup %.2fx < 1.5x floor on "
-                 "a %u-thread host\n",
-                 speedup, hw_threads);
-    std::exit(1);
-  }
-}
-
 /// Fixed-work host calibration microloop: a deterministic xorshift chain
 /// whose iterations/second gauge a machine's single-thread integer speed.
 /// scripts/perf_gate.py divides sim-cycles/s by this before comparing a
@@ -274,6 +189,7 @@ void RunCalibration(bench::BenchReport* report) {
   }
   StatsRegistry& reg = report->AddRun("calibration");
   reg.SetGauge("host_ops_per_second", best_ops);
+  reg.SetCounter("host_hardware_threads", host::HostHardwareThreads());
   reg.SetCounter("iterations", kIters);
   reg.SetCounter("checksum", sink & 0xffff);
 }
@@ -295,7 +211,10 @@ void Run(const BenchArgs& args, bench::BenchReport* report) {
   // simulator overhead (the perf-gate's most sensitive probe).
   RunLeg(args, Leg{"dense", args.smoke ? 2u : 4u, 64, 8, 12}, &table,
          report);
-  RunParallelLeg(args, &table, report);
+  RunLeg(args,
+         Leg{"multisite", 4, 32, 4, 95,
+             workload::YcsbOptions::Mode::kMultisite},
+         &table, report);
   table.Print();
   std::printf("(all modes asserted bit-identical: cycles, outcomes, "
               "engine stats JSON)\n");

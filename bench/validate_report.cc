@@ -381,8 +381,7 @@ bool CheckSpeedRun(const std::string& path, const std::string& label,
   if (!Num(stats, "cycles", &cycles) || cycles <= 0) {
     return Fail(path, "speed run '" + label + "': missing positive cycles");
   }
-  static const char* kModes[] = {"cycle_accurate", "event_driven",
-                                 "parallel"};
+  static const char* kModes[] = {"cycle_accurate", "event_driven"};
   for (const char* mode : kModes) {
     double cps;
     if (Num(stats, std::string(mode) + "/sim_cycles_per_second", &cps)) {

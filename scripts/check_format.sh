@@ -15,7 +15,6 @@ cd "$(dirname "$0")/.."
 CLANG_FORMAT="${1:-${CLANG_FORMAT:-clang-format}}"
 
 WHITELIST=(
-  src/sim/epoch.h
 )
 
 if ! command -v "$CLANG_FORMAT" > /dev/null 2>&1; then

@@ -6,8 +6,8 @@
 // instead of the bare T/O CheckVisibility when a unit with a non-default
 // mode is configured; the softcore calls the OnTxn* hooks at transaction
 // begin / commit-validate / finish. All state is partition-local and only
-// touched from the owning island's tick path, so the unit is PDES-safe by
-// construction (same rule as the pipelines themselves).
+// touched from the owning worker's tick path (same rule as the pipelines
+// themselves).
 //
 // Mode semantics:
 //  * kTimestamp — pass-through to cc::CheckVisibility (hooks are no-ops).

@@ -1,7 +1,7 @@
 // Multi-chip cluster topology (DESIGN.md section 14).
 //
-// A cluster instantiates N chips — each the full existing engine: islands
-// of workers with private DRAM lanes — as one sharded BionicDb whose
+// A cluster instantiates N chips — each the full existing engine: partition
+// workers with private DRAM lanes — as one sharded BionicDb whose
 // worker id space is split into chips of `workers_per_chip`. Two fabric
 // tiers connect them:
 //
@@ -15,8 +15,8 @@
 // the engine's two-phase distributed commit (Softcore coordinator +
 // PartitionWorker participants over PrepareReq/PrepareAck/CommitReq/
 // CommitAck envelopes). The wrapper only wires configuration and stats:
-// all mechanism lives in the engine, so every simulator mode (serial,
-// event-driven, parallel islands) stays bit-identical.
+// all mechanism lives in the engine, so both simulator modes (per-cycle
+// and event-driven) stay bit-identical.
 #ifndef BIONICDB_CLUSTER_CLUSTER_H_
 #define BIONICDB_CLUSTER_CLUSTER_H_
 

@@ -1,7 +1,6 @@
 #include "comm/channels.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 namespace bionicdb::comm {
@@ -14,10 +13,7 @@ CommFabric::CommFabric(uint32_t n_workers, const sim::TimingConfig& timing,
       topology_(topology),
       cluster_(cluster),
       request_inbox_(n_workers),
-      response_inbox_(n_workers),
-      staged_(n_workers),
-      stamped_requests_(n_workers),
-      stamped_responses_(n_workers) {
+      response_inbox_(n_workers) {
   if (cluster_.workers_per_node > 0) {
     n_chips_ = (n_workers_ + cluster_.workers_per_node - 1) /
                cluster_.workers_per_node;
@@ -41,24 +37,6 @@ uint64_t CommFabric::HopLatency(db::WorkerId src, db::WorkerId dst) const {
   return steps * timing_.onchip_hop_cycles;
 }
 
-uint64_t CommFabric::MinHopLatency() const {
-  if (n_workers_ < 2) return timing_.onchip_hop_cycles;
-  uint64_t min_hop = sim::kNeverWakes;
-  for (uint32_t s = 0; s < n_workers_; ++s) {
-    min_hop = std::min(min_hop, MinHopLatencyFrom(s));
-  }
-  return min_hop;
-}
-
-uint64_t CommFabric::MinHopLatencyFrom(uint32_t island) const {
-  if (n_workers_ < 2) return timing_.onchip_hop_cycles;
-  uint64_t min_hop = sim::kNeverWakes;
-  for (uint32_t d = 0; d < n_workers_; ++d) {
-    if (d != island) min_hop = std::min(min_hop, HopLatency(island, d));
-  }
-  return min_hop;
-}
-
 void CommFabric::Transmit(uint64_t now, db::WorkerId src, db::WorkerId dst,
                           const Envelope& env, sim::RingQueue<InFlight>* wire) {
   uint64_t depart = now;
@@ -66,9 +44,7 @@ void CommFabric::Transmit(uint64_t now, db::WorkerId src, db::WorkerId dst,
   const uint32_t dst_chip = ChipOf(dst);
   if (src_chip != dst_chip) {
     // Finite link bandwidth: one packet per interchip_issue_gap_cycles on
-    // each directed chip-pair link; later packets queue behind earlier
-    // ones. Queueing only pushes deliver_at later, so the epoch lookahead
-    // bound (send at s delivers no earlier than s + min hop) still holds.
+    // each directed chip-pair link; later packets queue behind earlier ones.
     LinkState& link = links_[size_t(src_chip) * n_chips_ + dst_chip];
     const uint64_t gap = std::max<uint64_t>(
         1, timing_.interchip_issue_gap_cycles);
@@ -101,17 +77,6 @@ void CommFabric::Transmit(uint64_t now, db::WorkerId src, db::WorkerId dst,
 
 void CommFabric::Send(uint64_t now, db::WorkerId src, db::WorkerId dst,
                       const Envelope& env) {
-  if (epoch_mode_) {
-    // Island-confined staging: `src` is the calling island's worker, so no
-    // other thread touches staged_[src] until the barrier.
-    staged_[src].push_back({now, dst, env});
-    return;
-  }
-  SendNow(now, src, dst, env);
-}
-
-void CommFabric::SendNow(uint64_t now, db::WorkerId src, db::WorkerId dst,
-                         const Envelope& env) {
   const bool is_request = env.is_request();
   Envelope sent = env;
   auto* unacked = is_request ? &unacked_requests_ : &unacked_responses_;
@@ -159,14 +124,12 @@ void CommFabric::DeliverWire(uint64_t cycle, sim::RingQueue<InFlight>* wire,
         continue;
       }
     }
-    // First delivery of this logical packet: counted here in ALL modes
-    // (serial/event-driven Tick, and EndEpoch's authoritative replay
-    // where inboxes == nullptr), never in DeliverStamps.
+    // First delivery of this logical packet.
     ++class_delivered_[size_t(f.env.cls())];
     if (ChipOf(f.src) != ChipOf(f.dst)) {
       ++links_[size_t(ChipOf(f.src)) * n_chips_ + ChipOf(f.dst)].delivered;
     }
-    if (inboxes != nullptr) (*inboxes)[f.dst].push_back(std::move(f.env));
+    (*inboxes)[f.dst].push_back(std::move(f.env));
   }
   wire->truncate(kept);
 }
@@ -238,175 +201,10 @@ uint64_t CommFabric::NextWakeCycle(uint64_t now) const {
   return wake > now ? wake : now + 1;
 }
 
-bool CommFabric::Idle() const { return !BusyNow(); }
-
-// --- Epoch machinery (parallel island execution) -------------------------
-
-uint64_t CommFabric::NextDeliveryCycle() const {
-  uint64_t c = sim::kNeverWakes;
-  for (const auto& p : request_wire_) c = std::min(c, p.deliver_at);
-  for (const auto& p : response_wire_) c = std::min(c, p.deliver_at);
-  return c;
-}
-
-void CommFabric::NextDeliveryCyclesTo(
-    std::vector<uint64_t>* per_island) const {
-  std::fill(per_island->begin(), per_island->end(), sim::kNeverWakes);
-  auto scan = [per_island](const sim::RingQueue<InFlight>& wire) {
-    for (const auto& p : wire) {
-      if (p.dst < per_island->size()) {
-        (*per_island)[p.dst] = std::min((*per_island)[p.dst], p.deliver_at);
-      }
-    }
-  };
-  scan(request_wire_);
-  scan(response_wire_);
-}
-
-uint64_t CommFabric::NextInternalCycle() const {
-  if (!reliability_.enabled) return sim::kNeverWakes;
-  uint64_t c = sim::kNeverWakes;
-  for (const auto& [seq, u] : unacked_requests_) {
-    c = std::min(c, u.next_retransmit_at);
-  }
-  for (const auto& [seq, u] : unacked_responses_) {
-    c = std::min(c, u.next_retransmit_at);
-  }
-  return c;
-}
-
-void CommFabric::BeginEpoch(uint64_t from, uint64_t to) {
-  (void)from;
-  // Overlay over delivered_seqs_: sequences whose FIRST copy lands inside
-  // this epoch. Planning must not mutate real dedup state (EndEpoch replays
-  // it authoritatively), but must still stage only one copy per sequence.
-  // Sequences are fabric-unique across both wires, so one overlay serves
-  // both plans.
-  std::unordered_set<uint64_t> planned;
-  auto plan = [&](const sim::RingQueue<InFlight>& wire, auto& stamped) {
-    std::vector<const InFlight*> due;
-    for (const auto& p : wire) {
-      if (p.deliver_at <= to) {
-        assert(p.deliver_at > from);
-        due.push_back(&p);
-      }
-    }
-    // Serial delivery order: by cycle, then wire order within a cycle
-    // (stable sort preserves the wire scan order on ties).
-    std::stable_sort(due.begin(), due.end(),
-                     [](const InFlight* a, const InFlight* b) {
-                       return a->deliver_at < b->deliver_at;
-                     });
-    for (const InFlight* p : due) {
-      if (reliability_.enabled && p->env.hdr.seq != 0) {
-        if (delivered_seqs_.count(p->env.hdr.seq) > 0 ||
-            !planned.insert(p->env.hdr.seq).second) {
-          continue;  // duplicate — EndEpoch accounts for its suppression
-        }
-      }
-      stamped[p->dst].push_back({p->deliver_at, p->env});
-    }
-  };
-#ifndef NDEBUG
-  for (const auto& q : stamped_requests_) assert(q.empty());
-  for (const auto& q : stamped_responses_) assert(q.empty());
-#endif
-  plan(request_wire_, stamped_requests_);
-  plan(response_wire_, stamped_responses_);
-}
-
-uint64_t CommFabric::NextEventCycle() const {
-  uint64_t c = sim::kNeverWakes;
-  for (const auto& p : request_wire_) c = std::min(c, p.deliver_at);
-  for (const auto& p : response_wire_) c = std::min(c, p.deliver_at);
-  for (const auto& p : ack_wire_) c = std::min(c, p.deliver_at);
-  for (const auto& [seq, u] : unacked_requests_) {
-    c = std::min(c, u.next_retransmit_at);
-  }
-  for (const auto& [seq, u] : unacked_responses_) {
-    c = std::min(c, u.next_retransmit_at);
-  }
-  for (const auto& q : staged_) {
-    if (!q.empty()) c = std::min(c, q.front().cycle);
-  }
-  return c;
-}
-
-void CommFabric::ReplayStagedSends(uint64_t cycle) {
-  // Serial send order within a cycle: components tick in worker-id order
-  // after the fabric, and each worker's sends follow its program order —
-  // exactly the per-src queue order here.
-  for (uint32_t src = 0; src < n_workers_; ++src) {
-    auto& q = staged_[src];
-    while (!q.empty() && q.front().cycle == cycle) {
-      SendNow(cycle, src, q.front().dst, q.front().env);
-      q.pop_front();
-    }
-  }
-}
-
-void CommFabric::EndEpoch(uint64_t from, uint64_t to) {
-  uint64_t prev = from;
-  for (;;) {
-    uint64_t c = NextEventCycle();
-    if (c > to) break;
-    assert(c > prev);
-    // Busy/idle attribution mirrors the serial per-cycle sample exactly.
-    // Non-event cycles (prev, c): fabric state is constant (post prev's
-    // sends), so one probe covers the whole span — the event-driven serial
-    // mode does the same via its skip probe.
-    if (BusyNow()) {
-      epoch_busy_cycles_ += (c - 1) - prev;
-      last_active_cycle_ = std::max(last_active_cycle_, c - 1);
-    }
-    last_active_cycle_ = std::max(last_active_cycle_, c);
-    DeliverWire(c, &request_wire_, nullptr);
-    DeliverWire(c, &response_wire_, nullptr);
-    if (reliability_.enabled) {
-      RetireAcks(c);
-      RunRetransmits(c);
-    }
-    // The serial sample at an event cycle is taken after the fabric's tick
-    // but before later components (the workers) send at the same cycle.
-    if (BusyNow()) ++epoch_busy_cycles_;
-    ReplayStagedSends(c);
-    prev = c;
-  }
-  if (to > prev && BusyNow()) {
-    epoch_busy_cycles_ += to - prev;
-    last_active_cycle_ = std::max(last_active_cycle_, to);
-  }
-#ifndef NDEBUG
-  // Every staged send carried a cycle inside the epoch, and every stamp was
-  // consumed by its island before the barrier.
-  for (const auto& q : staged_) assert(q.empty());
-  for (const auto& q : stamped_requests_) assert(q.empty());
-  for (const auto& q : stamped_responses_) assert(q.empty());
-#endif
-}
-
-uint64_t CommFabric::NextStampCycle(uint32_t island, uint64_t now) const {
-  uint64_t wake = sim::kNeverWakes;
-  if (!stamped_requests_[island].empty()) {
-    wake = std::min(wake, stamped_requests_[island].front().first);
-  }
-  if (!stamped_responses_[island].empty()) {
-    wake = std::min(wake, stamped_responses_[island].front().first);
-  }
-  return wake > now ? wake : now + 1;
-}
-
-void CommFabric::DeliverStamps(uint32_t island, uint64_t cycle) {
-  auto& reqs = stamped_requests_[island];
-  while (!reqs.empty() && reqs.front().first == cycle) {
-    request_inbox_[island].push_back(std::move(reqs.front().second));
-    reqs.pop_front();
-  }
-  auto& resps = stamped_responses_[island];
-  while (!resps.empty() && resps.front().first == cycle) {
-    response_inbox_[island].push_back(std::move(resps.front().second));
-    resps.pop_front();
-  }
+bool CommFabric::Idle() const {
+  return request_wire_.empty() && response_wire_.empty() &&
+         ack_wire_.empty() && unacked_requests_.empty() &&
+         unacked_responses_.empty();
 }
 
 void CommFabric::CollectStats(StatsScope scope) const {

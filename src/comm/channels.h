@@ -18,10 +18,8 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "comm/envelope.h"
@@ -30,7 +28,6 @@
 #include "sim/arena.h"
 #include "sim/component.h"
 #include "sim/config.h"
-#include "sim/epoch.h"
 
 namespace bionicdb::comm {
 
@@ -74,7 +71,7 @@ struct ReliabilityConfig {
   uint64_t retransmit_timeout_cycles = 4096;
 };
 
-class CommFabric : public sim::Component, public sim::EpochFabric {
+class CommFabric : public sim::Component {
  public:
   /// Multi-chip/multi-node deployment (paper section 4.6 future work:
   /// "the message-passing channels should be diversified with additional
@@ -124,29 +121,6 @@ class CommFabric : public sim::Component, public sim::EpochFabric {
   /// topology.
   uint64_t HopLatency(db::WorkerId src, db::WorkerId dst) const;
 
-  // --- sim::EpochFabric (parallel island execution; see sim/epoch.h) ----
-  uint64_t MinHopLatency() const override;
-  /// Per-tier lookahead: the cheapest hop a packet SENT BY `island` can
-  /// take. On a multi-chip fabric an island whose only peers are across the
-  /// inter-chip tier contributes a lookahead of hundreds of cycles, letting
-  /// the PDES barrier widen epochs instead of clamping the whole cluster to
-  /// the on-chip 3-cycle bound.
-  uint64_t MinHopLatencyFrom(uint32_t island) const override;
-  uint64_t NextDeliveryCycle() const override;
-  void NextDeliveryCyclesTo(std::vector<uint64_t>* per_island) const override;
-  uint64_t NextInternalCycle() const override;
-  void SetEpochMode(bool on) override { epoch_mode_ = on; }
-  void BeginEpoch(uint64_t from, uint64_t to) override;
-  void EndEpoch(uint64_t from, uint64_t to) override;
-  uint64_t NextStampCycle(uint32_t island, uint64_t now) const override;
-  void DeliverStamps(uint32_t island, uint64_t cycle) override;
-  uint64_t TakeEpochBusySample() override {
-    uint64_t v = epoch_busy_cycles_;
-    epoch_busy_cycles_ = 0;
-    return v;
-  }
-  uint64_t last_active_cycle() const override { return last_active_cycle_; }
-
   uint64_t messages_sent() const { return messages_sent_; }
   CounterSet& counters() { return counters_; }
 
@@ -164,7 +138,7 @@ class CommFabric : public sim::Component, public sim::EpochFabric {
 
   /// Per-message-class traffic totals (fabric/<class>/sent|delivered|
   /// retransmitted in CollectStats). `delivered` counts first deliveries
-  /// of each logical packet, identically in all three simulation modes.
+  /// of each logical packet, identically in both simulation modes.
   uint64_t class_sent(MessageClass c) const {
     return class_sent_[size_t(c)];
   }
@@ -215,38 +189,12 @@ class CommFabric : public sim::Component, public sim::EpochFabric {
     return cluster_.workers_per_node > 0 ? w / cluster_.workers_per_node : 0;
   }
 
-  /// The real send path (sequence assignment, unacked tracking, Transmit,
-  /// counters). Send calls it directly in serial operation and defers to
-  /// it from EndEpoch's staged-send replay in epoch mode.
-  void SendNow(uint64_t now, db::WorkerId src, db::WorkerId dst,
-               const Envelope& env);
-
-  /// One island send captured during an epoch, replayed by EndEpoch.
-  struct StagedSend {
-    uint64_t cycle;
-    db::WorkerId dst;
-    Envelope env;
-  };
-
-  bool BusyNow() const {
-    return !request_wire_.empty() || !response_wire_.empty() ||
-           !ack_wire_.empty() || !unacked_requests_.empty() ||
-           !unacked_responses_.empty();
-  }
-  /// Earliest unprocessed event cycle in the live fabric state (delivery,
-  /// ack arrival, retransmission deadline, or staged send) — EndEpoch's
-  /// replay cursor.
-  uint64_t NextEventCycle() const;
-
-  /// Shared per-cycle machinery used by both Tick (serial) and EndEpoch
-  /// (epoch replay). `inboxes == nullptr` skips the inbox push — in epoch
-  /// replay the destination island already consumed the payload via its
-  /// stamp, so only fabric-side bookkeeping (acks, dedup, counters) runs.
+  /// Per-cycle steps of Tick: deliveries due on one wire into `inboxes`,
+  /// ack arrivals, and retransmission deadlines.
   void DeliverWire(uint64_t cycle, sim::RingQueue<InFlight>* wire,
                    std::vector<sim::RingQueue<Envelope>>* inboxes);
   void RetireAcks(uint64_t cycle);
   void RunRetransmits(uint64_t cycle);
-  void ReplayStagedSends(uint64_t cycle);
 
   uint32_t n_workers_;
   sim::TimingConfig timing_;
@@ -255,9 +203,7 @@ class CommFabric : public sim::Component, public sim::EpochFabric {
   uint32_t n_chips_ = 1;
 
   /// One directed finite-bandwidth link per ordered chip pair, indexed
-  /// src_chip * n_chips_ + dst_chip. Mutated only on the serial paths
-  /// (SendNow / Tick retransmits / EndEpoch replay), so all three
-  /// simulation modes see identical queueing.
+  /// src_chip * n_chips_ + dst_chip.
   struct LinkState {
     uint64_t next_free = 0;   // first cycle the link can take a packet
     uint64_t sent = 0;        // logical packets (retransmits excluded)
@@ -282,18 +228,6 @@ class CommFabric : public sim::Component, public sim::EpochFabric {
   std::map<uint64_t, Unacked> unacked_responses_;
   std::unordered_set<uint64_t> delivered_seqs_;
   uint64_t retransmits_ = 0;
-
-  // Epoch (parallel-mode) state. staged_[src] is written only by the island
-  // owning worker `src` during an epoch and drained by EndEpoch at the
-  // barrier; stamped_* queues are written by BeginEpoch at the barrier and
-  // drained only by the destination island's thread — every access pair is
-  // ordered by the barrier, so no locks are needed.
-  bool epoch_mode_ = false;
-  std::vector<std::deque<StagedSend>> staged_;
-  std::vector<std::deque<std::pair<uint64_t, Envelope>>> stamped_requests_;
-  std::vector<std::deque<std::pair<uint64_t, Envelope>>> stamped_responses_;
-  uint64_t epoch_busy_cycles_ = 0;
-  uint64_t last_active_cycle_ = 0;
 
   uint64_t messages_sent_ = 0;
   std::array<uint64_t, kNumMessageClasses> class_sent_{};

@@ -2,9 +2,9 @@
 //
 // Every packet that travels between partition workers is an Envelope: a
 // routing/timing header owned once by the envelope, plus a tagged payload
-// that owns exactly the fields its message class needs. The fabric, the
-// reliability layer and the epoch machinery read ONLY the header — they are
-// payload-agnostic transports — while the endpoints (softcore, worker
+// that owns exactly the fields its message class needs. The fabric and its
+// reliability layer read ONLY the header — they are payload-agnostic
+// transports — while the endpoints (softcore, worker
 // background unit, index coprocessor) switch on the message class.
 //
 // Message taxonomy (DESIGN.md section 12):
@@ -93,7 +93,7 @@ struct IndexOp {
 
 /// One raw-memory operation shipped to the partition that owns `addr`.
 /// Under partitioned DRAM a softcore LOAD/STORE/commit-publication touching
-/// a foreign partition's arena must execute on the owner's island — its
+/// a foreign partition's arena must execute on the owning worker — its
 /// DRAM lane, its timing — so it travels the fabric like any request.
 struct MemOp {
   enum class Kind : uint8_t { kLoad, kStore, kCommit, kAbort };

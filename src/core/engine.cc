@@ -27,7 +27,6 @@ BionicDb::BionicDb(const EngineOptions& options) : options_(options) {
         database_.get(), w, options.timing, softcore, coproc, fabric_.get()));
     sim_->AddComponent(workers_.back().get(), w);
   }
-  sim_->SetEpochFabric(fabric_.get(), fabric_.get());
 }
 
 Status BionicDb::RegisterProcedure(db::TxnTypeId type, isa::Program program,

@@ -109,7 +109,7 @@ class BionicDb {
   /// One CC unit per partition when cc_mode != kTimestamp (empty
   /// otherwise). Owned here and injected into each worker's softcore and
   /// coprocessor configs by pointer; units hold only partition-local state
-  /// touched from the owning island's tick path (PDES-safe).
+  /// touched from the owning worker's tick path.
   std::vector<std::unique_ptr<cc::CcUnit>> cc_units_;
   std::vector<std::unique_ptr<PartitionWorker>> workers_;
 };

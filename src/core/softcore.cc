@@ -397,7 +397,7 @@ void Softcore::Execute(uint64_t now) {
       ++ctx.pc;
       if (!dram_->IsLocalTo(addr, worker_id_)) {
         // Foreign partition's arena: the fetch rides the fabric to the
-        // owner's island (its lane, its timing) and the value comes back as
+        // owning worker (its lane, its timing) and the value comes back as
         // a mem_load response routed to CompleteRemoteLoad.
         port_->Issue(dram_->OwnerPartition(addr),
                      MakeMemOp(comm::MemOp::Kind::kLoad, addr));
@@ -510,7 +510,7 @@ void Softcore::Execute(uint64_t now) {
       if (StartTwoPc(now, /*want_commit=*/true)) return;
       for (const cc::WriteSetEntry& e : ctx.write_set) {
         if (!dram_->IsLocalTo(e.tuple_addr, worker_id_)) {
-          // Remote tuple: publication executes on the owning island (it
+          // Remote tuple: publication executes on the owning worker (it
           // applies the header update and issues the writeback on its own
           // lane).
           comm::Envelope env =

@@ -13,7 +13,7 @@ Status Database::CreateTable(const TableSchema& schema) {
   std::vector<PartitionIndexes> per_partition(n_partitions_);
   for (uint32_t p = 0; p < n_partitions_; ++p) {
     // Each partition's index structures allocate from that partition's
-    // arena so its worker island owns every byte it touches at run time.
+    // arena so its worker owns every byte it touches at run time.
     sim::DramMemory::PartitionScope scope(p);
     if (schema.index == IndexKind::kHash) {
       per_partition[p].hash =

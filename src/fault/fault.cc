@@ -170,9 +170,8 @@ bool FaultScheduler::VerifyTuple(sim::Addr addr) {
   if (it == ag.guards.end()) return true;  // unguarded (pre-attach) tuple
   ++ag.checks;
   if (ComputeGuard(addr) == it->second) return true;
-  // Arena-confined counting only: the global CounterSet is not touched
-  // here because this path runs on island threads under parallel
-  // execution; CollectStats folds the per-arena totals back in.
+  // Counted per arena; CollectStats folds the per-arena totals into the
+  // counter view.
   ++ag.detected;
   return false;
 }
@@ -240,7 +239,7 @@ uint32_t FaultScheduler::ComputeGuard(sim::Addr addr) const {
 
 void FaultScheduler::FlipRandomBit(uint64_t cycle) {
   // Victim index over the arena-order concatenation of the guard vectors
-  // (identical in serial and parallel runs; see ArenaGuards).
+  // (see ArenaGuards).
   uint64_t idx = schedule_rng_.NextUint64(guarded_tuples());
   sim::Addr addr = sim::kNullAddr;
   for (const ArenaGuards& ag : arena_guards_) {
@@ -298,9 +297,8 @@ void FaultScheduler::CollectStats(StatsScope scope) const {
   scope.SetCounter("corruption_checks", corruption_checks());
   scope.SetCounter("corruption_detected", corruption_detected());
   scope.SetCounter("schedule_digest", ScheduleDigest());
-  // "detected/corruption" is tracked per arena (VerifyTuple runs on island
-  // threads); fold it into the counter view with the original key-presence
-  // semantics (absent when zero).
+  // "detected/corruption" is tracked per arena; fold it into the counter
+  // view with the original key-presence semantics (absent when zero).
   CounterSet merged = counters_;
   if (corruption_detected() > 0) {
     merged.Add("detected/corruption", corruption_detected());

@@ -225,12 +225,9 @@ class FaultScheduler : public sim::Component,
   // Guard tables, one per DRAM arena. The vector gives O(1) random victim
   // selection; the map gives O(log n) verification (std::map keeps ScrubAll
   // order deterministic — arenas are disjoint ascending address ranges, so
-  // arena-order iteration equals global address order). The per-arena split
-  // matters for island-parallel execution: OnTupleAllocated/VerifyTuple are
-  // called from the island owning the arena, so each slot is thread-
-  // confined and its registration order is mode-independent. FlipRandomBit
-  // indexes the arena-order concatenation, which is therefore identical in
-  // serial and parallel runs.
+  // arena-order iteration equals global address order). FlipRandomBit
+  // indexes the arena-order concatenation of the guard vectors, so the
+  // split also fixes which tuple a given seed's bit flip lands on.
   struct ArenaGuards {
     std::map<sim::Addr, uint32_t> guards;
     std::vector<sim::Addr> guard_addrs;

@@ -54,10 +54,8 @@ using TxnList = std::vector<std::pair<db::WorkerId, sim::Addr>>;
 RunResult RunToCompletion(core::BionicDb* engine, const TxnList& txns,
                           bool retry_aborts = true, uint32_t max_rounds = 50);
 
-/// Hardware threads available to parallel island simulation
-/// (TimingConfig::parallel_hosts) on this host, never reported as zero.
-/// Benches use it to decide whether a wall-clock speedup floor is a fair
-/// assertion (a 1-core CI container cannot beat its own serial run).
+/// Hardware threads available on the host, never reported as zero: RunSweep's
+/// default fan-out width, and host provenance in speed reports.
 uint32_t HostHardwareThreads();
 
 // --- Closed-loop driving with latency measurement -------------------------
@@ -221,8 +219,7 @@ struct OpenLoopResult {
 /// bounded per-worker admission queue (or are shed), and are dispatched to
 /// the hardware as inflight slots free. Deterministic for a fixed option
 /// set: the arrival timeline, worker routing and every reported stat are
-/// bit-identical across the simulator's serial, event-driven and parallel
-/// modes.
+/// bit-identical across the simulator's per-cycle and event-driven modes.
 OpenLoopResult RunOpenLoop(core::BionicDb* engine, const TxnFactory& factory,
                            const OpenLoopOptions& options);
 
@@ -252,16 +249,15 @@ struct SweepResult {
   StatsRegistry stats;
 };
 
-/// Runs every job, fanning out across host cores with the same
-/// spawn-on-demand worker scheme the parallel-island simulator pool uses:
-/// the calling thread is worker 0 and spawned threads claim jobs from a
-/// shared cursor, so an N-point sweep costs max(points/cores) engine runs
-/// of wall clock instead of their sum. Results come back in job order
-/// regardless of completion order, and each job's registry is written only
-/// by the thread that ran it, so a sweep's merged report is deterministic
-/// for a fixed job list. `max_hosts` caps the fan-out (0 = all hardware
-/// threads); jobs running concurrently must each stay serial inside
-/// (TimingConfig::parallel_hosts == 0) or the two pools fight for cores.
+/// Runs every job, fanning out across host cores: the calling thread is
+/// worker 0 and spawned threads claim jobs from a shared cursor, so an
+/// N-point sweep costs max(points/cores) engine runs of wall clock instead
+/// of their sum. This is how the simulator uses more than one host core:
+/// each engine ticks on one thread, and independent engines run side by
+/// side. Results come back in job order regardless of completion order,
+/// and each job's registry is written only by the thread that ran it, so a
+/// sweep's merged report is deterministic for a fixed job list.
+/// `max_hosts` caps the fan-out (0 = all hardware threads).
 std::vector<SweepResult> RunSweep(std::vector<SweepJob> jobs,
                                   uint32_t max_hosts = 0);
 

@@ -78,17 +78,6 @@ struct TimingConfig {
   /// modes; off by default (cycle-by-cycle ticking).
   bool event_driven = false;
 
-  /// Host-thread-parallel island execution: 0 (default) runs the classic
-  /// single-threaded loop; N > 0 distributes the per-partition islands
-  /// (worker + its DRAM lane) over up to N host threads, synchronised at
-  /// conservative epochs bounded by the comm fabric's minimum hop latency
-  /// (the lookahead of the conservative parallel discrete-event scheme;
-  /// see DESIGN.md section 11). Results — final clock, outcomes, fault
-  /// digests and the entire stats JSON — are bit-identical to the serial
-  /// modes. Islands always free-run event-driven inside an epoch, so
-  /// `event_driven` is irrelevant when this is nonzero.
-  uint32_t parallel_hosts = 0;
-
   /// Converts a cycle count to seconds at the configured clock.
   double CyclesToSeconds(uint64_t cycles) const {
     return double(cycles) / (clock_mhz * 1e6);

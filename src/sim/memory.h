@@ -19,13 +19,13 @@
 //
 // Partitioned operation (ConfigurePartitions): the DORA-style engine gives
 // every partition worker a private slice of the address space (an "arena")
-// and a private copy of the channel array (a "lane"), so a per-partition
-// island — worker plus its DRAM lane — touches no timing state shared with
-// other islands and can tick on its own host thread (DESIGN.md section 11).
-// Which arena/lane an access uses is carried in a thread-local partition
-// context (PartitionScope) so none of the allocation or issue call sites
-// change signature. With one partition (or when never configured) the
-// layout is bit-identical to the original single-arena, single-lane model.
+// and a private copy of the channel array (a "lane", the per-worker memory
+// channels of Fig. 1b). A worker reaches a foreign arena only through the
+// message fabric. Which arena/lane an access uses is carried in a
+// thread-local partition context (PartitionScope) so none of the
+// allocation or issue call sites change signature. With one partition (or
+// when never configured) the layout is bit-identical to the original
+// single-arena, single-lane model.
 #ifndef BIONICDB_SIM_MEMORY_H_
 #define BIONICDB_SIM_MEMORY_H_
 
@@ -80,11 +80,6 @@ using MemResponseQueue = RingQueue<MemResponse>;
 /// state advanced by their own simulator Tick (seeded RNG), never from
 /// wall-clock or allocation addresses of the host process, so the same seed
 /// reproduces the same fault schedule bit-for-bit.
-///
-/// Threading contract (parallel islands, DESIGN.md section 11): Extra-
-/// Latency/ChannelStuck/VerifyTuple/OnTupleAllocated are called from island
-/// threads during an epoch and must only read state written before the
-/// epoch barrier or touch per-arena state owned by the calling island.
 class DramFaultHook {
  public:
   virtual ~DramFaultHook() = default;
@@ -124,11 +119,10 @@ class DramMemory {
   /// arena, single-lane layout bit-for-bit.
   void ConfigurePartitions(uint32_t n);
   bool partitioned() const { return partitioned_; }
-  uint32_t n_lanes() const { return uint32_t(lanes_.size()); }
 
   /// RAII thread-local partition context: while in scope, Allocate targets
   /// the partition's arena and Issue/IssueWrite64 its lane. The simulator
-  /// wraps island component ticks in one; the database wraps bulk loading
+  /// ticks partition components in one; the database wraps bulk loading
   /// (which must place each partition's tuples in that partition's arena).
   /// Nesting restores the previous context. Cheap enough for per-tick use.
   class PartitionScope {
@@ -288,15 +282,13 @@ class DramMemory {
   bool IssueWrite64(uint64_t now, Addr addr, uint64_t value,
                     MemResponseQueue* sink, uint64_t cookie);
 
-  /// Delivers all completions due at or before `now` (every lane).
+  /// Delivers all completions due at or before `now` (every lane). Inline
+  /// fast path: one compare per lane against its cached next completion
+  /// cycle.
   void Tick(uint64_t now) {
-    for (uint32_t i = 0; i < lanes_.size(); ++i) TickLane(i, now);
-  }
-  /// Per-lane tick, for island-parallel execution. Inline fast path: one
-  /// compare against the lane's cached next completion cycle.
-  void TickLane(uint32_t lane, uint64_t now) {
-    if (now < lanes_[lane].next_ready) return;
-    DrainLane(lane, now);
+    for (uint32_t i = 0; i < lanes_.size(); ++i) {
+      if (now >= lanes_[i].next_ready) DrainLane(i, now);
+    }
   }
 
   /// True when no requests are in flight on any lane.
@@ -306,7 +298,6 @@ class DramMemory {
     }
     return true;
   }
-  bool LaneIdle(uint32_t lane) const { return lanes_[lane].in_flight == 0; }
 
   /// Event-driven scheduling hint: the earliest cycle at which an in-flight
   /// request completes (Tick before then is a pure no-op), or kNeverWakes
@@ -314,16 +305,12 @@ class DramMemory {
   /// always in the future; clamped defensively anyway.
   uint64_t NextWakeCycle(uint64_t now) const {
     uint64_t wake = UINT64_MAX;
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-      uint64_t w = LaneNextWake(uint32_t(i), now);
+    for (const Lane& l : lanes_) {
+      if (l.next_ready == kNeverReady) continue;
+      const uint64_t w = l.next_ready > now ? l.next_ready : now + 1;
       if (w < wake) wake = w;
     }
     return wake;
-  }
-  uint64_t LaneNextWake(uint32_t lane, uint64_t now) const {
-    const uint64_t ready = lanes_[lane].next_ready;
-    if (ready == kNeverReady) return UINT64_MAX;
-    return ready > now ? ready : now + 1;
   }
 
   uint64_t total_reads() const { return SumLanes(&Lane::total_reads); }
@@ -417,14 +404,13 @@ class DramMemory {
   };
 
   /// One partition's private timing model: its own channel array, pending
-  /// queue and counters. Nothing in a lane is touched by other islands, so
-  /// lanes tick concurrently without synchronisation.
+  /// queue and counters.
   struct Lane {
     std::vector<Channel> channels;
     std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
         pending;
     /// Cached pending.top().complete_at (kNeverReady when empty), so the
-    /// per-cycle TickLane probe is one hot-field compare instead of a
+    /// per-cycle Tick probe is one hot-field compare instead of a
     /// priority-queue touch. Maintained on every push/pop.
     uint64_t next_ready = kNeverReady;
     uint64_t seq = 0;
@@ -451,7 +437,7 @@ class DramMemory {
   Channel* AdmitRequest(Lane* lane, uint64_t now, Addr addr, bool is_write,
                         uint64_t* start);
 
-  /// TickLane slow path: delivers every completion due at or before `now`
+  /// Tick slow path: delivers every completion due at or before `now`
   /// and refreshes the lane's next_ready cache.
   void DrainLane(uint32_t lane, uint64_t now);
 
@@ -503,9 +489,7 @@ class DramMemory {
   /// Unique per-instance id tagging thread-local page-cache entries so a
   /// cache never serves pages of a destroyed (or different) DramMemory.
   const uint64_t generation_;
-  // The page table is the one structure shared across islands (an island
-  // may materialise a page of the host arena while writing a scan result
-  // into the initiator's transaction block). Pages are never freed, so a
+  // The page table holds every arena's pages. Pages are never freed, so a
   // pointer obtained under the lock stays valid forever. Page storage
   // comes from a bump arena (16 pages per slab) under the same lock, so
   // materialising a page is a pointer bump instead of a heap allocation.

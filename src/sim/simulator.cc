@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace bionicdb::sim {
 
@@ -9,16 +8,9 @@ Simulator::Simulator(const TimingConfig& config)
     : config_(config), dram_(config) {
   // Typical machine: fabric + a handful of workers + fault scheduler.
   components_.reserve(16);
-  island_of_.reserve(16);
+  partition_of_.reserve(16);
   component_cycles_.reserve(16);
   scratch_busy_.reserve(16);
-}
-
-Simulator::~Simulator() {
-  if (!threads_.empty()) {
-    shutdown_.store(true, std::memory_order_release);
-    for (std::thread& t : threads_) t.join();
-  }
 }
 
 void Simulator::AddComponent(Component* component) {
@@ -26,59 +18,35 @@ void Simulator::AddComponent(Component* component) {
   // every sampled tick since the last flush.
   FlushSamples();
   components_.push_back(component);
-  island_of_.push_back(kGlobalIsland);
+  partition_of_.push_back(DramMemory::kHostPartition);
   component_cycles_.emplace_back();
   scratch_busy_.push_back(0);
 }
 
-void Simulator::AddComponent(Component* component, uint32_t island) {
+void Simulator::AddComponent(Component* component, uint32_t partition) {
   AddComponent(component);
-  island_of_.back() = island;
-  if (islands_.size() <= island) {
-    size_t old = islands_.size();
-    islands_.resize(island + 1);
-    for (size_t i = old; i < islands_.size(); ++i) {
-      islands_[i].id = uint32_t(i);
-    }
-  }
-  islands_[island].comps.push_back(components_.size() - 1);
-}
-
-void Simulator::SetEpochFabric(EpochFabric* fabric,
-                               Component* fabric_component) {
-  epoch_fabric_ = fabric;
-  fabric_index_ = SIZE_MAX;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i] == fabric_component) {
-      fabric_index_ = i;
-      break;
-    }
-  }
-  assert(fabric_index_ != SIZE_MAX &&
-         "register the fabric with AddComponent before SetEpochFabric");
-  min_hop_ = fabric != nullptr ? fabric->MinHopLatency() : 0;
+  partition_of_.back() = partition;
 }
 
 void Simulator::TickOnce() {
   const uint64_t now = ++now_;
   dram_.Tick(now);
   ++scratch_ticks_;
-  // Hot-loop state as flat arrays (component pointer, owning island, busy
+  // Hot-loop state as flat arrays (component pointer, partition, busy
   // scratch), walked with raw pointers so the per-cycle loop reads three
   // parallel arrays instead of chasing vector headers per component.
   Component* const* comps = components_.data();
-  const uint32_t* island = island_of_.data();
+  const uint32_t* partition = partition_of_.data();
   uint64_t* busy = scratch_busy_.data();
   const size_t n = components_.size();
-  // One partition-context save/restore brackets the whole loop: island
-  // components still tick under their partition (so DRAM arena/lane
-  // routing is identical between serial and parallel execution;
-  // kGlobalIsland == kHostPartition for the rest), but without a
-  // PartitionScope construct/destruct per component per cycle.
+  // One partition-context save/restore brackets the whole loop: each
+  // component ticks under its partition (so DRAM arena/lane routing follows
+  // the component), without a PartitionScope construct/destruct per
+  // component per cycle.
   const uint32_t saved = DramMemory::PartitionContext();
   bool any_busy = false;
   for (size_t i = 0; i < n; ++i) {
-    DramMemory::SetPartitionContext(island[i]);
+    DramMemory::SetPartitionContext(partition[i]);
     comps[i]->Tick(now);
     // Post-tick sample: a component with outstanding work this cycle is
     // charged as busy, otherwise idle (idle = ticks - busy, on flush).
@@ -161,13 +129,6 @@ bool Simulator::RunLoop(DoneFn&& done, uint64_t limit) {
 
 void Simulator::Step(uint64_t cycles) {
   const uint64_t target = now_ + cycles;
-  if (ParallelReady()) {
-    while (now_ < target) {
-      RunEpoch(target, /*allow_quiesce=*/false);
-    }
-    FlushSamples();
-    return;
-  }
   if (config_.event_driven) {
     while (now_ < target) {
       WarpBefore(target);
@@ -187,26 +148,10 @@ bool Simulator::RunUntil(const std::function<bool()>& done,
 
 bool Simulator::RunUntilIdle(uint64_t max_cycles) {
   uint64_t limit = (max_cycles == UINT64_MAX) ? UINT64_MAX : now_ + max_cycles;
-  if (ParallelReady()) {
-    for (;;) {
-      if (AllIdle()) {
-        FlushSamples();
-        return true;
-      }
-      if (now_ >= limit) {
-        FlushSamples();
-        return false;
-      }
-      if (RunEpoch(limit, /*allow_quiesce=*/true)) {
-        FlushSamples();
-        return true;
-      }
-    }
-  }
-  // Serial modes: the quiescence predicate between iterations is exactly
-  // the all-idle flag TickOnce computed (no state changes between a tick
-  // and the next loop top), so the per-cycle path avoids re-scanning every
-  // component's virtual Idle() each cycle.
+  // The quiescence predicate between iterations is exactly the all-idle
+  // flag TickOnce computed (no state changes between a tick and the next
+  // loop top), so the per-cycle path avoids re-scanning every component's
+  // virtual Idle() each cycle.
   if (AllIdle()) {
     FlushSamples();
     return true;
@@ -236,288 +181,12 @@ bool Simulator::RunUntilIdle(uint64_t max_cycles) {
   return fired;
 }
 
-// --- Parallel island execution -------------------------------------------
-
-bool Simulator::ParallelReady() const {
-  return config_.parallel_hosts > 0 && epoch_fabric_ != nullptr &&
-         !islands_.empty() && min_hop_ >= 1 &&
-         dram_.n_lanes() == islands_.size();
-}
-
 bool Simulator::AllIdle() const {
   if (!dram_.Idle()) return false;
   for (Component* c : components_) {
     if (!c->Idle()) return false;
   }
   return true;
-}
-
-uint64_t Simulator::EpochEnd(uint64_t from, uint64_t limit) const {
-  // Per-tier lookahead (DESIGN.md section 14): island i's first possible
-  // action is E_i — its earliest inbound delivery, lane wake or component
-  // wake — and nothing it sends from cycle s >= E_i can land before
-  // s + MinHopLatencyFrom(i). The epoch may therefore extend to
-  //   Tend = min over non-quiescent islands i of (E_i + L_i - 1),
-  // which is >= the old global bound min(E) + min(L) - 1: an island whose
-  // only peers sit across a slow inter-chip link contributes a wide bound
-  // instead of the on-chip minimum clamping the whole cluster.
-  if (min_hop_from_.size() != islands_.size()) {
-    min_hop_from_.resize(islands_.size());
-    for (const Island& isl : islands_) {
-      min_hop_from_[isl.id] = epoch_fabric_->MinHopLatencyFrom(isl.id);
-    }
-    deliver_scratch_.resize(islands_.size());
-  }
-  epoch_fabric_->NextDeliveryCyclesTo(&deliver_scratch_);
-  uint64_t tend = kNeverWakes;
-  for (const Island& isl : islands_) {
-    uint64_t e = deliver_scratch_[isl.id];
-    e = std::min(e, dram_.LaneNextWake(isl.id, from));
-    for (size_t ci : isl.comps) {
-      e = std::min(e,
-                   std::max(components_[ci]->NextWakeCycle(from), from + 1));
-    }
-    if (e == kNeverWakes) continue;  // quiescent island: it cannot send
-    const uint64_t hop = min_hop_from_[isl.id];
-    tend = std::min(tend,
-                    e > kNeverWakes - hop ? kNeverWakes : e + hop - 1);
-  }
-  // Fabric-internal events (retransmission deadlines) put unplanned packets
-  // on the wire; cap the epoch so they can only fire on its final cycle,
-  // delivering strictly after it.
-  tend = std::min(tend, epoch_fabric_->NextInternalCycle());
-  // Global components mutate shared state (fault windows, freezes, flips).
-  // Capping at their wakes parks every global event on an epoch's final
-  // cycle, where barrier replay reproduces the serial intra-cycle order.
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (island_of_[i] != kGlobalIsland || i == fabric_index_) continue;
-    tend = std::min(tend,
-                    std::max(components_[i]->NextWakeCycle(from), from + 1));
-  }
-  tend = std::min(tend, limit);
-  if (tend == kNeverWakes) {
-    // Nothing schedulable anywhere: advance in bounded chunks so a caller
-    // with an unbounded budget still reaches its own exit condition.
-    tend = from + (1ull << 20);
-  }
-  return std::max(tend, from + 1);
-}
-
-void Simulator::EnsureThreads() {
-  if (pool_width_ != 0) return;
-  pool_width_ = uint32_t(std::min<uint64_t>(config_.parallel_hosts,
-                                            islands_.size()));
-  if (pool_width_ == 0) pool_width_ = 1;
-  // Oversubscribed hosts (fewer hardware threads than the pool) get no
-  // benefit from spinning — the thread being waited on cannot run until
-  // the waiter yields — so fall back to yielding immediately.
-  const unsigned hw = std::thread::hardware_concurrency();
-  spin_limit_ = (hw == 0 || hw >= pool_width_) ? 1024 : 1;
-  threads_.reserve(pool_width_ - 1);
-  for (uint32_t k = 1; k < pool_width_; ++k) {
-    threads_.emplace_back([this, k] { ThreadMain(k); });
-  }
-}
-
-void Simulator::ThreadMain(uint32_t thread_index) {
-  uint64_t seen = 0;
-  for (;;) {
-    uint64_t seq;
-    uint32_t spins = 0;
-    while ((seq = epoch_seq_.load(std::memory_order_acquire)) == seen) {
-      if (shutdown_.load(std::memory_order_acquire)) return;
-      if (++spins > spin_limit_) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-    seen = seq;
-    for (size_t i = thread_index; i < islands_.size(); i += pool_width_) {
-      RunIslandEpoch(islands_[i], epoch_from_, epoch_to_,
-                     /*allow_defer=*/true);
-    }
-    epoch_pending_.fetch_sub(1, std::memory_order_release);
-  }
-}
-
-void Simulator::RunIslandEpoch(Island& isl, uint64_t from, uint64_t to,
-                               bool allow_defer) {
-  DramMemory::PartitionScope scope(isl.id);
-  uint64_t now = from;
-  while (now < to) {
-    if (allow_defer && dram_.LaneIdle(isl.id) &&
-        epoch_fabric_->NextStampCycle(isl.id, now) > to) {
-      bool idle = true;
-      for (size_t ci : isl.comps) {
-        if (!components_[ci]->Idle()) {
-          idle = false;
-          break;
-        }
-      }
-      if (idle) {
-        // Fully quiescent: defer the idle tail to the barrier, which knows
-        // whether the whole machine stops here (the serial loop exits
-        // without sampling past the last active cycle).
-        isl.deferred = true;
-        isl.tail_start = now;
-        return;
-      }
-    }
-    uint64_t wake = dram_.LaneNextWake(isl.id, now);
-    wake = std::min(wake, epoch_fabric_->NextStampCycle(isl.id, now));
-    for (size_t ci : isl.comps) {
-      wake = std::min(wake,
-                      std::max(components_[ci]->NextWakeCycle(now), now + 1));
-    }
-    if (wake > to) {
-      // Busy but waiting on a future epoch (e.g. a response still in
-      // flight): bulk-account the remainder, mirroring WarpBefore.
-      const uint64_t span = to - now;
-      for (size_t ci : isl.comps) {
-        if (!components_[ci]->Idle()) scratch_busy_[ci] += span;
-        components_[ci]->SkipCycles(now, span);
-      }
-      ++isl.warps;
-      isl.skipped += span;
-      now = to;
-      break;
-    }
-    if (wake > now + 1) {
-      const uint64_t span = wake - now - 1;
-      for (size_t ci : isl.comps) {
-        if (!components_[ci]->Idle()) scratch_busy_[ci] += span;
-        components_[ci]->SkipCycles(now, span);
-      }
-      ++isl.warps;
-      isl.skipped += span;
-      now += span;
-    }
-    ++now;
-    // Serial intra-cycle order: DRAM completions, then the fabric's
-    // deliveries for this island, then its components.
-    dram_.TickLane(isl.id, now);
-    epoch_fabric_->DeliverStamps(isl.id, now);
-    for (size_t ci : isl.comps) {
-      components_[ci]->Tick(now);
-      scratch_busy_[ci] += components_[ci]->Idle() ? 0 : 1;
-    }
-    isl.stop_cycle = now;
-  }
-}
-
-void Simulator::RunGlobalComponent(size_t idx, uint64_t from, uint64_t to) {
-  Component* c = components_[idx];
-  uint64_t now = from;
-  uint64_t busy = 0;
-  while (now < to) {
-    const uint64_t wake = std::max(c->NextWakeCycle(now), now + 1);
-    if (wake > to) {
-      const uint64_t span = to - now;
-      if (!c->Idle()) busy += span;
-      c->SkipCycles(now, span);
-      warp_stats_.skipped_cycles += span;
-      break;
-    }
-    if (wake > now + 1) {
-      const uint64_t span = wake - now - 1;
-      if (!c->Idle()) busy += span;
-      c->SkipCycles(now, span);
-      warp_stats_.skipped_cycles += span;
-      now += span;
-    }
-    ++now;
-    c->Tick(now);
-    busy += c->Idle() ? 0 : 1;
-  }
-  scratch_busy_[idx] += busy;
-}
-
-bool Simulator::RunEpoch(uint64_t limit, bool allow_quiesce) {
-  const uint64_t from = now_;
-  const uint64_t to = EpochEnd(from, limit);
-  if (epoch_observer_) epoch_observer_(from, to);
-  for (Island& isl : islands_) {
-    isl.deferred = false;
-    isl.tail_start = from;
-  }
-  epoch_fabric_->BeginEpoch(from, to);
-  epoch_fabric_->SetEpochMode(true);
-  EnsureThreads();
-  if (pool_width_ > 1) {
-    epoch_from_ = from;
-    epoch_to_ = to;
-    epoch_pending_.store(pool_width_ - 1, std::memory_order_relaxed);
-    epoch_seq_.fetch_add(1, std::memory_order_release);
-  }
-  for (size_t i = 0; i < islands_.size(); i += pool_width_) {
-    RunIslandEpoch(islands_[i], from, to, /*allow_defer=*/true);
-  }
-  if (pool_width_ > 1) {
-    uint32_t spins = 0;
-    while (epoch_pending_.load(std::memory_order_acquire) != 0) {
-      if (++spins > spin_limit_) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-  }
-  epoch_fabric_->SetEpochMode(false);
-  epoch_fabric_->EndEpoch(from, to);
-  scratch_busy_[fabric_index_] += epoch_fabric_->TakeEpochBusySample();
-
-  // Quiescence: exactly the serial RunUntilIdle predicate. Deferred islands
-  // are idle by construction; anything else (fabric in-flight, a busy
-  // island, a busy global) keeps the run alive.
-  bool fired = false;
-  if (allow_quiesce) {
-    fired = components_[fabric_index_]->Idle() && dram_.Idle();
-    for (const Island& isl : islands_) {
-      if (!fired) break;
-      if (!isl.deferred) fired = false;
-    }
-    for (size_t i = 0; fired && i < components_.size(); ++i) {
-      if (island_of_[i] == kGlobalIsland && i != fabric_index_ &&
-          !components_[i]->Idle()) {
-        fired = false;
-      }
-    }
-  }
-  uint64_t end = to;
-  if (fired) {
-    // Truncate at the cycle the serial loop would have stopped ticking:
-    // the last real island tick or fabric event.
-    uint64_t last_active = from;
-    for (const Island& isl : islands_) {
-      last_active = std::max(last_active, isl.stop_cycle);
-    }
-    last_active = std::max(last_active, epoch_fabric_->last_active_cycle());
-    end = std::min(std::max(last_active, from), to);
-  }
-  // Account deferred islands' idle tails up to `end` (re-entering the
-  // island loop handles mid-tail attribution boundaries, e.g. a freeze
-  // window expiring, exactly as serial skip spans would).
-  for (Island& isl : islands_) {
-    if (isl.deferred && end > isl.tail_start) {
-      RunIslandEpoch(isl, isl.tail_start, end, /*allow_defer=*/false);
-    }
-  }
-  // Global components replay after island work for these cycles, matching
-  // the serial order (workers tick before the fault scheduler each cycle;
-  // epochs end at global wakes, so a global event only ever fires at
-  // `end`, after every island already ticked it).
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (island_of_[i] != kGlobalIsland || i == fabric_index_) continue;
-    RunGlobalComponent(i, from, end);
-  }
-  scratch_ticks_ += end - from;
-  for (Island& isl : islands_) {
-    warp_stats_.warps += isl.warps;
-    warp_stats_.skipped_cycles += isl.skipped;
-    isl.warps = 0;
-    isl.skipped = 0;
-  }
-  now_ = end;
-  return fired;
 }
 
 void Simulator::CollectStats(StatsScope scope) const {

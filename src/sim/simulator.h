@@ -2,24 +2,22 @@
 #ifndef BIONICDB_SIM_SIMULATOR_H_
 #define BIONICDB_SIM_SIMULATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/stats.h"
 #include "sim/component.h"
 #include "sim/config.h"
-#include "sim/epoch.h"
 #include "sim/memory.h"
 
 namespace bionicdb::sim {
 
-/// Deterministic cycle-driven simulator with three execution modes, all
+/// Deterministic cycle-driven simulator with two execution modes, both
 /// producing bit-identical results (final clock, transaction outcomes,
-/// every stat):
+/// every stat). Every block ticks on the calling host thread; host cores
+/// are used by running independent simulators side by side
+/// (host::RunSweep).
 ///
 ///  * Per-cycle (default): each registered component ticks every cycle, in
 ///    registration order, after DRAM delivers completions (so responses are
@@ -30,47 +28,19 @@ namespace bionicdb::sim {
 ///    skipped in one jump instead of ticked cycle by cycle. Skipped cycles
 ///    are bulk-charged through Component::SkipCycles so busy/idle sampling
 ///    and all stall-attribution counters stay bit-identical.
-///
-///  * Parallel islands (TimingConfig::parallel_hosts > 0, plus
-///    SetEpochFabric and island-tagged AddComponent): per-partition islands
-///    — a worker and its private DRAM lane — free-run concurrently on host
-///    threads inside conservative epochs whose length never exceeds the
-///    comm fabric's minimum hop latency (the PDES lookahead). At each epoch
-///    barrier the fabric and global components (e.g. the fault scheduler)
-///    are replayed in exact serial order, so results remain bit-identical
-///    to the single-threaded modes (DESIGN.md section 11).
 class Simulator {
  public:
   explicit Simulator(const TimingConfig& config = TimingConfig());
-  ~Simulator();
 
-  /// Registers a global block — ticked by the coordinator, never inside a
-  /// parallel epoch; the simulator does not take ownership. Global blocks
-  /// must not create island work on their own (the fault scheduler's
-  /// injections only re-shape work that already exists, which is why it
-  /// qualifies).
+  /// Registers a block that belongs to no partition (the fabric, the fault
+  /// scheduler); it ticks under the host partition context. The simulator
+  /// does not take ownership.
   void AddComponent(Component* component);
 
-  /// Registers a block belonging to partition island `island`: it ticks on
-  /// that island's thread under parallel execution (and under that
-  /// island's DramMemory::PartitionScope in every mode). Island blocks
-  /// must not self-activate from Idle: once Idle(), only inbound fabric
-  /// packets may give them new work.
-  void AddComponent(Component* component, uint32_t island);
-
-  /// Installs the epoch interface of the message fabric for parallel
-  /// execution. `fabric_component` is the fabric's already-registered
-  /// global Component identity — at epoch barriers its busy/idle sampling
-  /// comes from EpochFabric::TakeEpochBusySample instead of coordinator
-  /// ticking.
-  void SetEpochFabric(EpochFabric* fabric, Component* fabric_component);
-
-  /// Test hook: invoked once per parallel epoch with its (from, to] bounds
-  /// before the islands run. Lets unit tests assert the conservative-
-  /// lookahead invariant directly.
-  void set_epoch_observer(std::function<void(uint64_t, uint64_t)> observer) {
-    epoch_observer_ = std::move(observer);
-  }
+  /// Registers a block belonging to partition `partition`: it ticks under
+  /// that partition's DramMemory context, so its allocations and timed
+  /// accesses use the partition's arena and lane.
+  void AddComponent(Component* component, uint32_t partition);
 
   /// Runs `cycles` cycles.
   void Step(uint64_t cycles = 1);
@@ -80,9 +50,6 @@ class Simulator {
   /// In event-driven mode `done` must be a function of component/DRAM
   /// state, not of now(): it is evaluated once per real tick, and real
   /// ticks are the only cycles where component state can change.
-  /// An arbitrary predicate cannot be evaluated mid-epoch, so this entry
-  /// point always runs serially (parallel execution covers Step and
-  /// RunUntilIdle, which is what the transaction drain path uses).
   bool RunUntil(const std::function<bool()>& done,
                 uint64_t max_cycles = UINT64_MAX);
 
@@ -122,10 +89,10 @@ class Simulator {
   }
   const std::vector<Component*>& components() const { return components_; }
 
-  /// Event-driven/parallel warp telemetry. Deliberately NOT part of
-  /// CollectStats: stats must be bit-identical between modes (the
-  /// differential tests compare the JSON), so host-side speedup data is
-  /// exposed separately for the sim_speed harness.
+  /// Event-driven warp telemetry. Deliberately NOT part of CollectStats:
+  /// stats must be bit-identical between modes (the differential tests
+  /// compare the JSON), so host-side speedup data is exposed separately
+  /// for the sim_speed harness.
   struct WarpStats {
     uint64_t warps = 0;           // number of clock jumps taken
     uint64_t skipped_cycles = 0;  // cycles covered by jumps (never ticked)
@@ -137,24 +104,6 @@ class Simulator {
   void CollectStats(StatsScope scope) const;
 
  private:
-  /// Island id marking a global component (== DramMemory::kHostPartition,
-  /// so island_of_ doubles as the per-component partition context).
-  static constexpr uint32_t kGlobalIsland = UINT32_MAX;
-
-  /// One partition island: the components that tick on its thread plus the
-  /// per-epoch state the coordinator reads back at the barrier.
-  struct Island {
-    uint32_t id = 0;
-    std::vector<size_t> comps;  // indices into components_
-    // Epoch-run results (written by the owning thread, read/reset by the
-    // coordinator at the barrier — ordered by the barrier atomics).
-    uint64_t stop_cycle = 0;  // last cycle a real island tick ran
-    bool deferred = false;    // went fully idle; tail not yet accounted
-    uint64_t tail_start = 0;  // cycle the island went idle this epoch
-    uint64_t warps = 0;
-    uint64_t skipped = 0;
-  };
-
   void TickOnce();
 
   /// Minimum of all blocks' wake hints (clamped to > now_), with an
@@ -181,96 +130,27 @@ class Simulator {
   template <typename DoneFn>
   bool RunLoop(DoneFn&& done, uint64_t limit);
 
-  // --- Parallel island execution (DESIGN.md section 11) -----------------
-
-  /// True when this run can take the parallel path: a positive
-  /// parallel_hosts, an epoch fabric with a nonzero lookahead, and one
-  /// DRAM lane per registered island.
-  bool ParallelReady() const;
-
-  /// The serial RunUntilIdle predicate (also the parallel quiescence
-  /// check).
+  /// The RunUntilIdle predicate: every component and the DRAM are idle.
   bool AllIdle() const;
-
-  /// Conservative epoch bound: islands may free-run (now_, Tend] without
-  /// seeing any event that was not already decided at the barrier.
-  uint64_t EpochEnd(uint64_t from, uint64_t limit) const;
-
-  /// Runs one epoch (now_ advances to its end). Returns true when the
-  /// machine quiesced inside the epoch (only possible with
-  /// `allow_quiesce`; now_ then stops at the exact cycle the serial loop
-  /// would have).
-  bool RunEpoch(uint64_t limit, bool allow_quiesce);
-
-  /// One island's free-run over (from, to]: event-driven ticking of its
-  /// lane, its epoch stamps and its components. With `allow_defer` the
-  /// island stops at full idleness and leaves the tail for the barrier
-  /// (which knows whether the whole machine stops there); the barrier
-  /// re-enters with allow_defer = false to account the tail.
-  void RunIslandEpoch(Island& island, uint64_t from, uint64_t to,
-                      bool allow_defer);
-
-  /// Barrier-time replay of one global component over (from, to], exactly
-  /// as the serial event-driven loop would tick it. Epochs are capped at
-  /// every global wake hint, so a global event always lands on the
-  /// epoch's final cycle — after island work for that cycle, before the
-  /// next epoch — reproducing the serial intra-cycle order (workers tick
-  /// before the fault scheduler).
-  void RunGlobalComponent(size_t idx, uint64_t from, uint64_t to);
-
-  void EnsureThreads();
-  void ThreadMain(uint32_t thread_index);
 
   TimingConfig config_;
   DramMemory dram_;
   std::vector<Component*> components_;
-  /// Island owning each component (kGlobalIsland = coordinator-ticked).
-  std::vector<uint32_t> island_of_;
+  /// Partition context each component ticks under
+  /// (DramMemory::kHostPartition for blocks outside any partition).
+  std::vector<uint32_t> partition_of_;
   // Mutable + scratch: samples accumulate in scratch_busy_/scratch_ticks_
   // during a run and fold into component_cycles_ on flush (also from const
-  // readers, hence mutable). Under parallel execution each scratch_busy_
-  // slot is written only by its component's island thread (or the
-  // coordinator, for globals/tails), with the barrier ordering accesses.
+  // readers, hence mutable).
   mutable std::vector<ComponentCycles> component_cycles_;
   mutable std::vector<uint64_t> scratch_busy_;
   mutable uint64_t scratch_ticks_ = 0;
   uint64_t now_ = 0;
   /// Quiescence of the whole machine as of the end of the last TickOnce
-  /// (see TickOnce; consumed by RunUntilIdle's serial loop).
+  /// (see TickOnce; consumed by RunUntilIdle's loop).
   bool all_idle_after_tick_ = false;
   WarpStats warp_stats_;
   CounterSet counters_;
-
-  // Parallel state.
-  std::vector<Island> islands_;
-  EpochFabric* epoch_fabric_ = nullptr;
-  size_t fabric_index_ = SIZE_MAX;  // fabric's slot in components_
-  uint64_t min_hop_ = 0;            // cached global lookahead W
-  /// Per-island lookahead cache (MinHopLatencyFrom, topology-constant) and
-  /// the per-island delivery-bound scratch, both sized lazily on the first
-  /// EpochEnd. Mutable: EpochEnd is const and only the coordinator calls
-  /// it, outside any epoch.
-  mutable std::vector<uint64_t> min_hop_from_;
-  mutable std::vector<uint64_t> deliver_scratch_;
-  std::function<void(uint64_t, uint64_t)> epoch_observer_;
-
-  // Thread pool, lazily started on the first parallel epoch. The caller
-  // thread is the coordinator and runs islands 0, width, 2*width, ...;
-  // spawned thread k runs islands k, k+width, ... Epochs are published by
-  // a release increment of epoch_seq_ (after writing epoch_from_/to_);
-  // workers acknowledge with a release decrement of epoch_pending_. Both
-  // sides spin briefly then yield, so the pool needs no mutexes and every
-  // cross-thread access is ordered by one of the two atomics.
-  uint32_t pool_width_ = 0;
-  /// Spins before yielding in the barrier waits (1 on oversubscribed
-  /// hosts, where spinning only delays the thread being waited on).
-  uint32_t spin_limit_ = 1024;
-  std::vector<std::thread> threads_;
-  std::atomic<uint64_t> epoch_seq_{0};
-  std::atomic<uint32_t> epoch_pending_{0};
-  std::atomic<bool> shutdown_{false};
-  uint64_t epoch_from_ = 0;
-  uint64_t epoch_to_ = 0;
 };
 
 }  // namespace bionicdb::sim

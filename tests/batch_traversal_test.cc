@@ -11,8 +11,8 @@
 //  * engine-level SmallBank under all three CC schemes — conservation
 //    holds and every transaction eventually commits in both traversal
 //    modes;
-//  * three-simulator-mode identity — a batched engine's stats tree is
-//    byte-identical across serial, event-driven and parallel simulation.
+//  * simulator-mode identity — a batched engine's stats tree is
+//    byte-identical across per-cycle and event-driven simulation.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -298,14 +298,13 @@ TEST(BatchTraversalSmallBank, ConservesUnderAllCcModes) {
 
 // ---------------------------------------------------------------------------
 // Determinism: a batched YCSB update-mix engine must produce a
-// byte-identical stats tree in all three simulator modes.
+// byte-identical stats tree in both simulator modes.
 
-std::string RunBatchedYcsbStats(bool event_driven, uint32_t parallel_hosts) {
+std::string RunBatchedYcsbStats(bool event_driven) {
   core::EngineOptions opts;
   opts.n_workers = 4;
   opts.coproc.traversal = index::TraversalMode::kBatched;
   opts.timing.event_driven = event_driven;
-  opts.timing.parallel_hosts = parallel_hosts;
   core::BionicDb engine(opts);
   workload::YcsbOptions yopts;
   yopts.mode = workload::YcsbOptions::Mode::kBatchPut;
@@ -325,9 +324,8 @@ std::string RunBatchedYcsbStats(bool event_driven, uint32_t parallel_hosts) {
 }
 
 TEST(BatchTraversalModes, StatsIdenticalAcrossSimulators) {
-  std::string serial = RunBatchedYcsbStats(false, 0);
-  EXPECT_EQ(serial, RunBatchedYcsbStats(true, 0)) << "event-driven diverged";
-  EXPECT_EQ(serial, RunBatchedYcsbStats(false, 4)) << "parallel diverged";
+  EXPECT_EQ(RunBatchedYcsbStats(false), RunBatchedYcsbStats(true))
+      << "event-driven diverged";
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ constexpr uint32_t kRecords = 200;
 constexpr uint32_t kAccesses = 2;
 constexpr uint64_t kTxnsPerWorker = 12;
 
-enum class Mode { kSerial, kEventDriven, kParallel };
+enum class Mode { kSerial, kEventDriven };
 
 struct TxnShadow {
   sim::Addr block = 0;
@@ -72,16 +72,7 @@ RunOutput RunBatch(Mode mode, const fault::FaultConfig* fault_cfg,
   cluster::ClusterOptions copts;
   copts.n_chips = kChips;
   copts.workers_per_chip = kWorkersPerChip;
-  switch (mode) {
-    case Mode::kSerial:
-      break;
-    case Mode::kEventDriven:
-      copts.engine.timing.event_driven = true;
-      break;
-    case Mode::kParallel:
-      copts.engine.timing.parallel_hosts = 4;
-      break;
-  }
+  copts.engine.timing.event_driven = mode == Mode::kEventDriven;
   if (prepare_timeout_cycles > 0) {
     copts.engine.softcore.two_pc.prepare_timeout_cycles =
         prepare_timeout_cycles;
@@ -241,13 +232,11 @@ void ExpectSame(const RunOutput& base, const RunOutput& other,
 TEST(Cluster2Pc, ModesAgreeUnderVotePathFaults) {
   // The whole 2PC machinery — fabric-tier queueing, fault injection on the
   // vote classes, retransmission, decision resends — must be byte-identical
-  // across the serial, event-driven and parallel-island simulators.
+  // across the per-cycle and event-driven simulators.
   fault::FaultConfig cfg = VotePathFaults();
   const RunOutput serial = RunBatch(Mode::kSerial, &cfg);
   const RunOutput event = RunBatch(Mode::kEventDriven, &cfg);
-  const RunOutput parallel = RunBatch(Mode::kParallel, &cfg);
   ExpectSame(serial, event, "serial vs event_driven");
-  ExpectSame(serial, parallel, "serial vs parallel");
 }
 
 TEST(Cluster2Pc, ModesAgreeOnTimeoutAborts) {
@@ -255,10 +244,7 @@ TEST(Cluster2Pc, ModesAgreeOnTimeoutAborts) {
       RunBatch(Mode::kSerial, nullptr, /*prepare_timeout_cycles=*/64);
   const RunOutput event =
       RunBatch(Mode::kEventDriven, nullptr, /*prepare_timeout_cycles=*/64);
-  const RunOutput parallel =
-      RunBatch(Mode::kParallel, nullptr, /*prepare_timeout_cycles=*/64);
   ExpectSame(serial, event, "serial vs event_driven");
-  ExpectSame(serial, parallel, "serial vs parallel");
 }
 
 }  // namespace

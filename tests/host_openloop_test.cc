@@ -1,4 +1,4 @@
-// Open-loop driver tests: seeded arrival determinism across all three
+// Open-loop driver tests: seeded arrival determinism across both
 // simulation modes, backpressure/shedding accounting invariants, and the
 // quantile-accuracy property tests behind the p50/p99/p999 SLO fields
 // (covering the Summary::MergeFrom weighted-merge and tail-histogram
@@ -202,12 +202,10 @@ TEST(ArrivalProcess, BurstyKeepsLongRunRateButClumpsArrivals) {
 // --- Open-loop driver -----------------------------------------------------
 
 struct Fixture {
-  explicit Fixture(uint32_t workers, bool event_driven = false,
-                   uint32_t parallel_hosts = 0) {
+  explicit Fixture(uint32_t workers, bool event_driven = false) {
     core::EngineOptions opts;
     opts.n_workers = workers;
     opts.timing.event_driven = event_driven;
-    opts.timing.parallel_hosts = parallel_hosts;
     engine = std::make_unique<core::BionicDb>(opts);
     workload::KvOptions kopts;
     kopts.ops_per_txn = 4;
@@ -253,7 +251,7 @@ std::string DeterministicRunJson(Fixture* f, const OpenLoopResult& result) {
   return reg.ToJson();
 }
 
-TEST(OpenLoop, SeededArrivalsAreByteIdenticalAcrossAllThreeModes) {
+TEST(OpenLoop, SeededArrivalsAreByteIdenticalAcrossModes) {
   // Overloaded enough that queueing, shedding and retries all engage.
   OpenLoopOptions opts;
   opts.arrival.offered_tps = 2e6;
@@ -262,17 +260,13 @@ TEST(OpenLoop, SeededArrivalsAreByteIdenticalAcrossAllThreeModes) {
   opts.admission_queue_depth = 16;
   opts.inflight_per_worker = 4;
 
-  auto run = [&](bool event_driven, uint32_t parallel) {
-    Fixture f(4, event_driven, parallel);
+  auto run = [&](bool event_driven) {
+    Fixture f(4, event_driven);
     Rng rng(21);
     auto result = RunOpenLoop(f.engine.get(), f.kv->Factory(&rng), opts);
     return DeterministicRunJson(&f, result);
   };
-  const std::string serial = run(false, 0);
-  const std::string event = run(true, 0);
-  const std::string parallel = run(false, 4);
-  EXPECT_EQ(serial, event);
-  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(run(false), run(true));
 }
 
 TEST(OpenLoop, BurstyModeIsDeterministicToo) {

@@ -70,8 +70,7 @@ namespace {
 TEST(HotPathAlloc, SteadyStateWindowPerformsZeroHeapAllocations) {
   core::EngineOptions opts;
   opts.n_workers = 2;
-  opts.timing.event_driven = false;  // audit the per-cycle serial loop
-  opts.timing.parallel_hosts = 0;
+  opts.timing.event_driven = false;  // audit the per-cycle loop
   core::BionicDb engine(opts);
 
   workload::YcsbOptions yopts;

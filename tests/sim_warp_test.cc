@@ -3,9 +3,9 @@
 // wall-clock time. Mock-component tests pin the warp mechanics (clock
 // positions, tick counts, Step/RunUntil boundary semantics, busy/idle
 // attribution); the engine tests run real workloads — YCSB variants,
-// TPC-C, multisite, seeded fault chaos — in both modes and assert the
-// final cycle count, commit/abort outcomes and the complete engine stats
-// JSON are bit-identical.
+// TPC-C, multisite on two and four partitions, seeded fault chaos — in
+// both modes and assert the final cycle count, commit/abort outcomes and
+// the complete engine stats JSON are bit-identical.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -178,9 +178,10 @@ workload::YcsbOptions SmallYcsb(workload::YcsbOptions::Mode mode) {
   return o;
 }
 
-Outcome RunYcsb(bool event_driven, workload::YcsbOptions::Mode mode) {
+Outcome RunYcsb(bool event_driven, workload::YcsbOptions::Mode mode,
+                uint32_t n_workers = 2) {
   core::EngineOptions opts;
-  opts.n_workers = 2;
+  opts.n_workers = n_workers;
   opts.timing.event_driven = event_driven;
   core::BionicDb engine(opts);
   workload::Ycsb ycsb(&engine, SmallYcsb(mode));
@@ -213,6 +214,14 @@ TEST(SimWarpEngine, YcsbScanOnly) {
 TEST(SimWarpEngine, YcsbMultisite) {
   ExpectIdentical(RunYcsb(false, workload::YcsbOptions::Mode::kMultisite),
                   RunYcsb(true, workload::YcsbOptions::Mode::kMultisite));
+}
+
+TEST(SimWarpEngine, YcsbMultisiteFourWorkers) {
+  // The default chip shape (four partition workers): every transaction
+  // crosses the on-chip fabric to three peers.
+  ExpectIdentical(
+      RunYcsb(false, workload::YcsbOptions::Mode::kMultisite, 4),
+      RunYcsb(true, workload::YcsbOptions::Mode::kMultisite, 4));
 }
 
 Outcome RunTpcc(bool event_driven) {
