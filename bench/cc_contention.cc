@@ -87,8 +87,7 @@ struct HwOutcome {
 uint64_t SumCcCounter(const core::BionicDb& engine, const std::string& key) {
   uint64_t sum = 0;
   for (uint32_t w = 0; w < engine.options().n_workers; ++w) {
-    const cc::CcUnit* unit = engine.cc_unit(w);
-    if (unit != nullptr) sum += unit->counters().Get(key);
+    sum += engine.cc_unit(w).counters().Get(key);
   }
   return sum;
 }

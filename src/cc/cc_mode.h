@@ -13,9 +13,9 @@
 namespace bionicdb::cc {
 
 enum class CcMode : uint8_t {
-  /// Single-version timestamp ordering (paper section 4.7): the legacy
-  /// always-on scheme. Dirty accesses are blindly rejected (optionally
-  /// parked, see HashPipeline::Config::dirty_wait_cycles).
+  /// Single-version timestamp ordering (paper section 4.7), the default.
+  /// Dirty accesses are blindly rejected, or parked first when
+  /// EngineOptions::dirty_wait_cycles grants a wait budget.
   kTimestamp,
   /// Online serialization-graph testing: accesses record dependency edges
   /// between in-flight transactions; an access is refused only when adding

@@ -123,6 +123,7 @@ void CcUnit::OnTxnFinish(db::Timestamp ts, bool committed) {
 }
 
 void CcUnit::CollectStats(StatsScope scope) const {
+  if (mode_ == CcMode::kTimestamp) return;
   scope.SetGauge("scheme_id", double(uint8_t(mode_)));
   scope.MergeCounterSet(counters_);
   switch (mode_) {

@@ -2,17 +2,18 @@
 //
 // One CcUnit instance models the CC metadata block (BRAM graph store /
 // version-chain directory) attached to a partition's softcore + index
-// coprocessor. The index pipelines call CheckAccess at their terminal step
-// instead of the bare T/O CheckVisibility when a unit with a non-default
-// mode is configured; the softcore calls the OnTxn* hooks at transaction
-// begin / commit-validate / finish. All state is partition-local and only
-// touched from the owning worker's tick path (same rule as the pipelines
-// themselves).
+// coprocessor. The engine builds one for every partition, whatever the
+// mode: the index pipelines' shared access stage calls CheckAccess at its
+// terminal step and parks dirty conflicts for the unit's wait budget; the
+// softcore calls the OnTxn* hooks at transaction begin / commit-validate /
+// finish. All state is partition-local and only touched from the owning
+// worker's tick path (same rule as the pipelines themselves).
 //
 // Mode semantics:
-//  * kTimestamp — pass-through to cc::CheckVisibility (hooks are no-ops).
-//    Pipelines keep their historical fast path and never call the unit, so
-//    the default configuration stays bit-identical and allocation-free.
+//  * kTimestamp — the paper's single-version T/O: CheckAccess falls
+//    through to cc::CheckVisibility, the hooks are no-ops, and
+//    CollectStats emits nothing, so the default configuration stays
+//    bit-identical and allocation-free.
 //  * kSgt — online serialization-graph testing. Every access records the
 //    dependency edges it induces between in-flight transactions (wr, ww,
 //    rw), each addition guarded by an incremental cycle check over the
@@ -28,9 +29,9 @@
 //    because the softcore's batch barrier holds every commit handler —
 //    where dirty marks clear — until all logic phases finish. Dirty marks
 //    NOT owned by a live local transaction (remote writers, posted header
-//    clears still in flight) park on the pipeline's dirty-waiter
-//    machinery, which re-checks WaitFutile() at each poll. The graph is
-//    pruned wholesale at quiescent points (no live transaction).
+//    clears still in flight) park on the access stage's dirty-waiter list,
+//    for either index, which re-checks WaitFutile() at each poll. The graph
+//    is pruned wholesale at quiescent points (no live transaction).
 //  * kMvcc — timestamp-ordered multi-version reads (MVTO). Writers snapshot
 //    the committed pre-image into a db::version chain before marking the
 //    tuple dirty; a reader whose timestamp predates the tuple's write_ts is
@@ -62,9 +63,9 @@ namespace bionicdb::cc {
 
 class CcUnit {
  public:
-  /// Park budget the pipelines use for dirty conflicts when the configured
-  /// dirty_wait_cycles is 0 but the CC mode relies on waiting (SGT parks
-  /// instead of blindly aborting; timeouts only break pathological stalls).
+  /// Park budget for dirty conflicts when the configured wait is 0 but the
+  /// CC mode relies on waiting (SGT parks instead of blindly aborting;
+  /// timeouts only break pathological stalls).
   static constexpr uint32_t kDefaultDirtyWaitCycles = 1u << 16;
 
   /// Outcome of a CC-mediated access. `vis` carries the same contract as
@@ -79,13 +80,24 @@ class CcUnit {
     uint32_t charge_bursts = 0;
   };
 
-  CcUnit(sim::DramMemory* dram, CcMode mode) : dram_(dram), mode_(mode) {}
+  /// `dirty_wait_cycles` is EngineOptions::dirty_wait_cycles: how long an
+  /// access refused on a dirty conflict may park before the blind reject
+  /// (0 = reject at once, the paper's behaviour; SGT then defaults to
+  /// kDefaultDirtyWaitCycles).
+  CcUnit(sim::DramMemory* dram, CcMode mode, uint32_t dirty_wait_cycles = 0)
+      : dram_(dram),
+        mode_(mode),
+        dirty_wait_cycles_(dirty_wait_cycles == 0 && mode == CcMode::kSgt
+                               ? kDefaultDirtyWaitCycles
+                               : dirty_wait_cycles) {}
 
   CcMode mode() const { return mode_; }
+  /// Park budget, in cycles, for an access refused with dirty_conflict.
+  uint32_t dirty_wait_cycles() const { return dirty_wait_cycles_; }
 
   /// CC check for a matched tuple at timestamp `ts`. Called from the index
-  /// pipelines' terminal stages (tick time; may allocate version nodes from
-  /// the current partition arena in kMvcc).
+  /// access stage's terminal step (tick time; may allocate version nodes
+  /// from the current partition arena in kMvcc).
   AccessResult CheckAccess(db::TupleAccessor* tuple, db::Timestamp ts,
                            AccessMode access);
 
@@ -93,10 +105,10 @@ class CcUnit {
   /// longer be unblocked by waiting: the mark changed hands while parked
   /// and is now owned by a live LOCAL writer, whose commit — the only
   /// thing that clears it — sits behind the batch barrier this parked
-  /// logic-phase access itself holds open. The pipelines poll this and
-  /// convert such parks into immediate rejects instead of burning the full
-  /// park deadline. Always false outside kSgt (T/O never parks on the
-  /// unit's say-so; MVCC serves old versions instead of waiting).
+  /// logic-phase access itself holds open. The access stage polls this and
+  /// retries such parks at once instead of burning the full park
+  /// deadline. Always false outside kSgt (T/O never parks on the unit's
+  /// say-so; MVCC serves old versions instead of waiting).
   bool WaitFutile(sim::Addr tuple, db::Timestamp ts) const;
 
   /// Transaction lifecycle hooks, called by the owning softcore.
@@ -106,6 +118,7 @@ class CcUnit {
   uint32_t OnCommitValidate(db::Timestamp ts);
   void OnTxnFinish(db::Timestamp ts, bool committed);
 
+  /// Scheme counters under `scope`; nothing under kTimestamp.
   void CollectStats(StatsScope scope) const;
 
   /// Raw scheme counters (sgt/... or mvcc/... keys) for harnesses that
@@ -157,6 +170,7 @@ class CcUnit {
 
   sim::DramMemory* dram_;
   CcMode mode_;
+  uint32_t dirty_wait_cycles_;
   CounterSet counters_;
 
   // SGT state.

@@ -15,14 +15,12 @@ BionicDb::BionicDb(const EngineOptions& options) : options_(options) {
   fabric_->set_reliability(options.reliability);
   sim_->AddComponent(fabric_.get());
   for (uint32_t w = 0; w < options.n_workers; ++w) {
+    cc_units_.push_back(std::make_unique<cc::CcUnit>(
+        &sim_->dram(), options.cc_mode, options.dirty_wait_cycles));
     Softcore::Config softcore = options.softcore;
+    softcore.cc_unit = cc_units_.back().get();
     index::IndexCoprocessor::Config coproc = options.coproc;
-    if (options.cc_mode != cc::CcMode::kTimestamp) {
-      cc_units_.push_back(
-          std::make_unique<cc::CcUnit>(&sim_->dram(), options.cc_mode));
-      softcore.cc_unit = cc_units_.back().get();
-      coproc.cc_unit = cc_units_.back().get();
-    }
+    coproc.cc_unit = cc_units_.back().get();
     workers_.push_back(std::make_unique<PartitionWorker>(
         database_.get(), w, options.timing, softcore, coproc, fabric_.get()));
     sim_->AddComponent(workers_.back().get(), w);

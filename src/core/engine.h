@@ -48,10 +48,17 @@ struct EngineOptions {
   /// the paper's channels are lossless and pay no protocol overhead.
   comm::ReliabilityConfig reliability;
   /// Concurrency-control scheme for the simulated tier (cc/cc_unit.h).
-  /// kTimestamp keeps the historical T/O behaviour bit-for-bit (no CC
-  /// units are even constructed); kSgt/kMvcc give every partition its own
-  /// CC unit wired into that worker's softcore and index pipelines.
+  /// Every partition gets its own CC unit in this mode, wired into that
+  /// worker's softcore and index pipelines; kTimestamp is the paper's T/O.
   cc::CcMode cc_mode = cc::CcMode::kTimestamp;
+  /// Wait-on-dirty CC extension (the paper's section 4.7 CC "blindly
+  /// rejects" any access to a dirty tuple, which abort-storms hot rows
+  /// like TPC-C Payment's warehouse). When non-zero, an op hitting a dirty
+  /// tuple parks for up to this many cycles, re-polling the header; a
+  /// timeout falls back to the blind reject (which also breaks
+  /// cross-transaction wait cycles). 0 = paper behaviour, except under
+  /// kSgt, which then parks for cc::CcUnit::kDefaultDirtyWaitCycles.
+  uint32_t dirty_wait_cycles = 0;
   uint64_t seed = 42;
 };
 
@@ -63,10 +70,8 @@ class BionicDb {
   sim::Simulator& simulator() { return *sim_; }
   const EngineOptions& options() const { return options_; }
   PartitionWorker& worker(uint32_t i) { return *workers_[i]; }
-  /// Partition i's CC unit, or nullptr in kTimestamp mode (no units).
-  const cc::CcUnit* cc_unit(uint32_t i) const {
-    return i < cc_units_.size() ? cc_units_[i].get() : nullptr;
-  }
+  /// Partition i's CC unit.
+  const cc::CcUnit& cc_unit(uint32_t i) const { return *cc_units_[i]; }
   comm::CommFabric& fabric() { return *fabric_; }
 
   /// Uploads a pre-compiled stored procedure to every worker's catalogue.
@@ -106,10 +111,9 @@ class BionicDb {
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<db::Database> database_;
   std::unique_ptr<comm::CommFabric> fabric_;
-  /// One CC unit per partition when cc_mode != kTimestamp (empty
-  /// otherwise). Owned here and injected into each worker's softcore and
-  /// coprocessor configs by pointer; units hold only partition-local state
-  /// touched from the owning worker's tick path.
+  /// One CC unit per partition. Owned here and injected into each
+  /// worker's softcore and coprocessor configs by pointer; units hold only
+  /// partition-local state touched from the owning worker's tick path.
   std::vector<std::unique_ptr<cc::CcUnit>> cc_units_;
   std::vector<std::unique_ptr<PartitionWorker>> workers_;
 };

@@ -300,7 +300,7 @@ void Softcore::BeginTxn(uint64_t now) {
   ctx.cp_base = cp_next_;
   // Hardware timestamp: globally ordered, unique across workers.
   ctx.ts = (now << 8) | (worker_id_ & 0xff);
-  if (config_.cc_unit != nullptr) config_.cc_unit->OnTxnBegin(ctx.ts);
+  config_.cc_unit->OnTxnBegin(ctx.ts);
   gp_next_ += gp_need;
   cp_next_ += cp_need;
   batch_order_.push_back(slot);
@@ -529,11 +529,9 @@ void Softcore::Execute(uint64_t now) {
       block.set_commit_ts(ctx.ts);
       dram_->Issue(now, ctx.block_base, true, nullptr, 0);
       busy_until_ = now + cost + ctx.write_set.size();
-      if (config_.cc_unit != nullptr) {
-        // CC validation work charged in the commit stage (SGT walks its
-        // adjacency set; T/O and MVCC validated inline and charge 0).
-        busy_until_ += config_.cc_unit->OnCommitValidate(ctx.ts);
-      }
+      // CC validation work charged in the commit stage (SGT walks its
+      // adjacency set; T/O and MVCC validated inline and charge 0).
+      busy_until_ += config_.cc_unit->OnCommitValidate(ctx.ts);
       FinishTxn(now, /*committed=*/true);
       return;
     }
@@ -753,9 +751,7 @@ void Softcore::HandleCommitAck(uint64_t now, const comm::Envelope& env) {
 
 void Softcore::FinishTxn(uint64_t now, bool committed) {
   TxnContext& ctx = contexts_[cur_ctx_];
-  if (config_.cc_unit != nullptr) {
-    config_.cc_unit->OnTxnFinish(ctx.ts, committed);
-  }
+  config_.cc_unit->OnTxnFinish(ctx.ts, committed);
   if (committed) {
     ++stats_.committed;
   } else {

@@ -80,10 +80,10 @@ class Softcore {
     };
     TwoPc two_pc;
 
-    /// Partition-local concurrency-control unit (engine-owned; see
-    /// cc/cc_unit.h). Null or kTimestamp mode keeps the historical T/O
-    /// behaviour bit-for-bit; kSgt/kMvcc route transaction lifecycle
-    /// events (begin / commit-validate / finish) through the unit.
+    /// Partition-local concurrency-control unit (engine-owned, required;
+    /// see cc/cc_unit.h). Transaction lifecycle events (begin /
+    /// commit-validate / finish) route through it; under kTimestamp they
+    /// are no-ops.
     cc::CcUnit* cc_unit = nullptr;
   };
 

@@ -9,20 +9,11 @@ IndexCoprocessor::IndexCoprocessor(db::Database* db,
     : sim::Component("coproc/p" + std::to_string(partition)),
       db_(db),
       partition_(partition),
-      config_(config) {
-  config_.hash.cc_unit = config_.cc_unit;
-  config_.skiplist.cc_unit = config_.cc_unit;
-  config_.hash.traversal = config_.traversal;
-  config_.skiplist.traversal = config_.traversal;
-  config_.hash.batch_size = config_.batch_size;
-  config_.skiplist.batch_size = config_.batch_size;
-  config_.hash.batch_timeout_cycles = config_.batch_timeout_cycles;
-  config_.skiplist.batch_timeout_cycles = config_.batch_timeout_cycles;
-  hash_ = std::make_unique<HashPipeline>(db, partition, config_.hash,
-                                         &results_);
-  skiplist_ = std::make_unique<SkiplistPipeline>(db, partition,
-                                                 config_.skiplist, &results_);
-}
+      config_(config),
+      hash_(std::make_unique<HashPipeline>(db, partition, config.hash, config,
+                                           &results_)),
+      skiplist_(std::make_unique<SkiplistPipeline>(
+          db, partition, config.skiplist, config, &results_)) {}
 
 bool IndexCoprocessor::Submit(const comm::Envelope& env) {
   if (inflight() >= config_.max_inflight) {
@@ -42,9 +33,9 @@ bool IndexCoprocessor::Submit(const comm::Envelope& env) {
   (env.hdr.origin != partition_ ? fc_background_ops_ : fc_foreground_ops_)
       .Add();
   if (schema->index == db::IndexKind::kHash) {
-    return hash_->Accept(env);
+    return hash_->stage().Accept(env);
   }
-  return skiplist_->Accept(env);
+  return skiplist_->stage().Accept(env);
 }
 
 void IndexCoprocessor::Tick(uint64_t cycle) {
@@ -57,9 +48,7 @@ void IndexCoprocessor::CollectStats(StatsScope scope) const {
   scope.MergeCounterSet(counters_);
   hash_->CollectStats(scope.Sub("hash"));
   skiplist_->CollectStats(scope.Sub("skiplist"));
-  if (config_.cc_unit != nullptr) {
-    config_.cc_unit->CollectStats(scope.Sub("cc"));
-  }
+  config_.cc_unit->CollectStats(scope.Sub("cc"));
 }
 
 }  // namespace bionicdb::index

@@ -6,6 +6,9 @@
 // the global in-flight request cap (the knob swept in Figures 10/11).
 // Foreground requests (local softcore) and background requests (remote
 // workers, via the on-chip channels) overlap freely inside the pipelines.
+// Each pipeline owns an access stage (index/access_stage.h) holding its
+// slot pool, batch collector and terminal CC step; the coprocessor reaches
+// admission, in-flight counts and stall flags through it.
 #ifndef BIONICDB_INDEX_COPROCESSOR_H_
 #define BIONICDB_INDEX_COPROCESSOR_H_
 
@@ -24,20 +27,12 @@ namespace bionicdb::index {
 
 class IndexCoprocessor : public sim::Component {
  public:
-  struct Config {
+  /// The traversal strategy, batch collector knobs and CC unit
+  /// (AccessStage::Settings) apply to both pipelines.
+  struct Config : AccessStage::Settings {
     uint32_t max_inflight = 16;
-    /// Per-pipeline traversal strategy (DESIGN.md section 17). Propagated
-    /// into both pipeline configs at construction, alongside the batch
-    /// collector knobs below.
-    TraversalMode traversal = TraversalMode::kPerOp;
-    uint32_t batch_size = 8;
-    uint64_t batch_timeout_cycles = 128;
     HashPipeline::Config hash;
     SkiplistPipeline::Config skiplist;
-    /// Partition-local CC unit (engine-owned). Propagated into both
-    /// pipeline configs at construction; also the hook for the cc stats
-    /// subtree in CollectStats.
-    cc::CcUnit* cc_unit = nullptr;
   };
 
   IndexCoprocessor(db::Database* db, db::PartitionId partition,
@@ -53,7 +48,8 @@ class IndexCoprocessor : public sim::Component {
 
   void Tick(uint64_t cycle) override;
   bool Idle() const override {
-    return hash_->Idle() && skiplist_->Idle() && results_.empty();
+    return hash_->stage().Idle() && skiplist_->stage().Idle() &&
+           results_.empty();
   }
 
   /// Earliest wake of the two pipelines. Queued results_ don't factor in:
@@ -68,7 +64,7 @@ class IndexCoprocessor : public sim::Component {
   }
 
   uint32_t inflight() const {
-    return hash_->queued_ops() + skiplist_->queued_ops();
+    return hash_->stage().queued_ops() + skiplist_->stage().queued_ops();
   }
 
   HashPipeline& hash_pipeline() { return *hash_; }
@@ -79,13 +75,15 @@ class IndexCoprocessor : public sim::Component {
   /// this coprocessor's Tick for the current cycle). The worker samples
   /// these to classify its cycle-breakdown buckets.
   bool dram_stalled() const {
-    return hash_->dram_stalled() || skiplist_->dram_stalled();
+    return hash_->stage().dram_stalled() || skiplist_->stage().dram_stalled();
   }
   bool hazard_stalled() const {
-    return hash_->hazard_stalled() || skiplist_->hazard_stalled();
+    return hash_->stage().hazard_stalled() ||
+           skiplist_->stage().hazard_stalled();
   }
 
-  /// Dumps coprocessor-level counters plus both pipelines under `scope`.
+  /// Dumps coprocessor-level counters, both pipelines and the CC unit
+  /// under `scope`.
   void CollectStats(StatsScope scope) const;
 
  private:

@@ -14,7 +14,8 @@
 //    from the local softcore and from remote workers' background traffic
 //    alike; remoteness is derived from the header (origin != partition),
 //    never flagged in the payload.
-//  * Both pipelines finish an op by pushing a `kIndexResult` reply envelope
+//  * Both pipelines finish an op through their access stage
+//    (index/access_stage.h), which pushes a `kIndexResult` reply envelope
 //    (Envelope::Reply echoes origin/cp_index/txn_slot/sent_at) onto the
 //    shared ResultQueue; the owning worker routes each entry home — to the
 //    local softcore's CP registers or back over the response channel.

@@ -1,111 +1,31 @@
 #include "index/hash_pipeline.h"
 
 #include <algorithm>
-#include <cassert>
 
-#include "cc/cc_unit.h"
-#include "cc/visibility.h"
 #include "db/hash_layout.h"
 #include "db/tuple.h"
 
 namespace bionicdb::index {
 
-namespace {
-/// DRAM bursts needed to move `bytes` (64-byte burst granularity).
-uint32_t Bursts(uint64_t bytes) {
-  return uint32_t((bytes + 63) / 64);
-}
-}  // namespace
-
 HashPipeline::HashPipeline(db::Database* db, db::PartitionId partition,
-                           Config config, ResultQueue* results)
+                           Config config,
+                           const AccessStage::Settings& settings,
+                           ResultQueue* results)
     : db_(db),
       dram_(db->dram()),
       partition_(partition),
       config_(config),
-      results_(results),
+      stage_(db->dram(), config.pool_size, settings, results),
       pool_(config.pool_size),
-      traverse_units_(config.n_traverse_units) {
-  free_slots_.reserve(config.pool_size);
-  for (uint32_t i = 0; i < config.pool_size; ++i) {
-    free_slots_.push_back(config.pool_size - 1 - i);
-  }
-  if (config_.traversal == TraversalMode::kBatched) {
-    // A batch can never fill past the slot pool, and at least one probe
-    // per batch keeps the collector well-defined.
-    config_.batch_size =
-        std::max(1u, std::min(config_.batch_size, config_.pool_size));
-    // Enough batch contexts for the collect/keys/buckets/nodes phases to
-    // overlap (inter-op pipelining); the slot pool is the real capacity.
-    batches_.resize(4);
-    for (Batch& b : batches_) {
-      b.members.reserve(config_.batch_size);
-      b.node_members.reserve(config_.batch_size);
-    }
-  }
-}
-
-bool HashPipeline::Accept(const comm::Envelope& env) {
-  if (free_slots_.empty() && pending_in_.size() >= pool_.size()) return false;
-  pending_in_.push_back(env);
-  return true;
-}
-
-uint32_t HashPipeline::AllocSlot(const comm::Envelope& env) {
-  assert(!free_slots_.empty());
-  uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  pool_[slot] = Op{};
-  pool_[slot].req = env;
-  pool_[slot].in_use = true;
-  ++active_;
-  return slot;
-}
-
-void HashPipeline::FreeSlot(uint32_t slot) {
-  assert(pool_[slot].in_use);
-  if (pool_[slot].holds_lock) {
-    lock_table_.Release(
-        db_->hash_index(pool_[slot].req.index_op().table, partition_)
-            ->BucketIndex(pool_[slot].hash),
-        slot);
-  }
-  pool_[slot].in_use = false;
-  free_slots_.push_back(slot);
-  --active_;
-}
-
-void HashPipeline::Emit(uint32_t slot, isa::CpStatus status, uint64_t payload,
-                        cc::WriteKind kind, sim::Addr tuple_addr) {
-  comm::IndexResult r;
-  r.status = status;
-  r.payload = payload;
-  r.write_kind = status == isa::CpStatus::kOk ? kind : cc::WriteKind::kNone;
-  r.tuple_addr = tuple_addr;
-  results_->push_back(comm::Envelope::Reply(pool_[slot].req, r));
-  FreeSlot(slot);
-}
-
-void HashPipeline::PostWrite(uint64_t now, sim::Addr addr) {
-  // Posted (fire-and-forget) write: occupies channel bandwidth; if the
-  // channel queue is saturated the write is accounted as buffered in the
-  // memory controller's posting FIFO rather than re-tried.
-  if (!dram_->Issue(now, addr, /*is_write=*/true, nullptr, 0)) {
-    counters_.Add("posted_write_overflow");
-  }
+      traverse_units_(config.n_traverse_units),
+      walks_(stage_.batch_count()) {
+  for (BatchWalk& w : walks_) w.node_members.reserve(stage_.batch_size());
 }
 
 void HashPipeline::Tick(uint64_t now) {
-  tick_dram_stall_ = false;
-  tick_hazard_stall_ = false;
-  // Idle early-out (see SkiplistPipeline::Tick): queued work anywhere in
-  // the pipeline implies a held slot, so idle means every stage scan would
-  // be a no-op.
-  if (active_ == 0 && pending_in_.empty()) return;
-  ++busy_cycles_;
-  occupancy_sum_ += active_;
+  if (!stage_.BeginTick()) return;
   // Downstream stages first so queues drain before upstream refills them.
-  TickDirtyWaiters(now);
+  stage_.TickDirtyWaiters(now);
   for (uint32_t u = 0; u < config_.n_traverse_units; ++u) {
     TickTraverse(now, u);
   }
@@ -113,168 +33,87 @@ void HashPipeline::Tick(uint64_t now) {
   TickHeadFetch(now);
   TickInstall(now);
   TickHash(now);
-  if (config_.traversal == TraversalMode::kBatched) {
-    // Inserts still flow KeyFetch -> Hash -> Install above; the batch
-    // units replace the search-side HeadFetch/KeyComp flow.
-    TickBatchExec(now);
-    TickBatchAdmit(now);
-  } else {
-    TickKeyFetch(now);
-  }
+  // Inserts always flow KeyFetch -> Hash -> Install; under kBatched the
+  // batch walk replaces the search-side HeadFetch/KeyComp flow.
+  if (stage_.batched()) TickBatchExec(now);
+  uint32_t slot = stage_.Admit(now, &hash_resp_, &batch_key_resp_);
+  if (slot != AccessStage::kNone) pool_[slot] = Op{};
 }
 
-void HashPipeline::FlushCollect() {
-  Batch& b = batches_[collect_];
-  b.phase = Batch::Phase::kKeys;
-  ++batches_flushed_;
-  probes_per_batch_.Add(double(b.members.size()));
-  collect_ = kNoBatch;
+void HashPipeline::HashKey(uint32_t slot) {
+  // Functional key fetch (keys in transaction blocks are immutable while
+  // the transaction runs).
+  const comm::IndexOp& req = stage_.op(slot);
+  Op& op = pool_[slot];
+  sim::InlineVec<uint8_t, 48> key(req.key_len);
+  dram_->ReadBytes(req.key_addr, key.data(), key.size());
+  op.hash = db::HashTableLayout::HashKey(key.data(), uint16_t(key.size()));
+  op.bucket_slot = db_->hash_index(req.table, partition_)->BucketSlot(op.hash);
+  fc_hash_stage_.Add();
 }
 
-void HashPipeline::RetireBatch(Batch* b) {
-  b->phase = Batch::Phase::kIdle;
-  b->members.clear();
-  b->node_members.clear();
-  b->deferred.clear();
-  b->next_issue = 0;
-  b->outstanding = 0;
-  b->live = 0;
-  b->burst.Reset();
+uint64_t HashPipeline::BucketIndex(uint32_t slot) const {
+  return db_->hash_index(stage_.op(slot).table, partition_)
+      ->BucketIndex(pool_[slot].hash);
 }
 
-void HashPipeline::TickBatchAdmit(uint64_t now) {
-  if (!pending_in_.empty() && !free_slots_.empty()) {
-    const comm::Envelope& env = pending_in_.front();
-    if (env.index_op().op == isa::Opcode::kInsert) {
-      // Inserts keep the per-op install path: they mutate the bucket chain
-      // under the hazard lock, and reordering installs inside a batch
-      // would change which insert wins the bucket head.
-      uint32_t slot = AllocSlot(env);
-      if (!dram_->Issue(now, pool_[slot].req.index_op().key_addr, false,
-                        &hash_resp_, slot)) {
-        FreeSlot(slot);
-        fc_keyfetch_dram_stall_.Add();
-        tick_dram_stall_ = true;
-      } else {
-        pending_in_.pop_front();
-        fc_ops_admitted_.Add();
-      }
-    } else {
-      if (collect_ == kNoBatch) {
-        for (uint32_t i = 0; i < uint32_t(batches_.size()); ++i) {
-          if (batches_[i].phase == Batch::Phase::kIdle) {
-            batches_[i].phase = Batch::Phase::kCollect;
-            collect_ = i;
-            break;
-          }
-        }
-      }
-      if (collect_ != kNoBatch) {
-        Batch& b = batches_[collect_];
-        // The key read overlaps collection; consecutive keys of one
-        // framed transaction batch sit in the same block, so these
-        // already coalesce.
-        uint32_t slot = AllocSlot(env);
-        if (!b.burst.Issue(dram_, now, pool_[slot].req.index_op().key_addr,
-                           /*is_write=*/false, &batch_key_resp_, slot,
-                           /*snapshot_words=*/0, &burst_total_,
-                           &burst_coalesced_)) {
-          FreeSlot(slot);
-          fc_keyfetch_dram_stall_.Add();
-          tick_dram_stall_ = true;
-        } else {
-          pending_in_.pop_front();
-          fc_ops_admitted_.Add();
-          pool_[slot].batch = collect_;
-          if (b.members.empty()) {
-            b.flush_deadline = now + config_.batch_timeout_cycles;
-          }
-          b.members.push_back(slot);
-          ++b.outstanding;
-          ++b.live;
-          if (b.members.size() >= config_.batch_size) {
-            ++batch_flush_full_;
-            FlushCollect();
-          } else if (pool_[slot].req.index_op().batch_flags &
-                     isa::kBatchFlagEnd) {
-            ++batch_flush_end_;
-            FlushCollect();
-          }
-        }
-      }
-    }
-  }
-  if (collect_ != kNoBatch && !batches_[collect_].members.empty() &&
-      now >= batches_[collect_].flush_deadline) {
-    ++batch_flush_timeout_;
-    FlushCollect();
-  }
-}
-
-void HashPipeline::IssueBatchReads(uint64_t now, uint32_t batch_idx) {
-  Batch& b = batches_[batch_idx];
-  if (b.phase == Batch::Phase::kBuckets) {
+void HashPipeline::IssueBatchReads(uint64_t now, uint32_t bi) {
+  AccessStage::Batch& b = stage_.batch(bi);
+  BatchWalk& w = walks_[bi];
+  if (!w.nodes) {
     // Lock-deferred members retry first: a lock released this tick (the
     // insert's install completed upstream in the tick order) unblocks
     // them before fresh issues extend the burst train.
-    for (size_t i = 0; i < b.deferred.size();) {
-      uint32_t slot = b.deferred[i];
-      Op& op = pool_[slot];
-      uint64_t bucket = db_->hash_index(op.req.index_op().table, partition_)
-                            ->BucketIndex(op.hash);
-      if (lock_table_.HeldByOther(bucket, slot)) {
+    for (size_t i = 0; i < w.deferred.size();) {
+      uint32_t slot = w.deferred[i];
+      if (stage_.locks().HeldByOther(BucketIndex(slot), slot)) {
         fc_hash_lock_stall_.Add();
-        tick_hazard_stall_ = true;
+        stage_.NoteHazardStall();
         ++i;
         continue;
       }
-      if (!b.burst.Issue(dram_, now, op.bucket_slot, false, &batch_data_resp_,
-                         slot, /*snapshot_words=*/1, &burst_total_,
-                         &burst_coalesced_)) {
+      if (!stage_.IssueBurst(bi, now, pool_[slot].bucket_slot,
+                             &batch_data_resp_, slot,
+                             /*snapshot_words=*/1)) {
         fc_hash_dram_stall_.Add();
-        tick_dram_stall_ = true;
+        stage_.NoteDramStall();
         return;
       }
       ++b.outstanding;
-      b.deferred[i] = b.deferred.back();
-      b.deferred.pop_back();
+      w.deferred[i] = w.deferred.back();
+      w.deferred.pop_back();
     }
-    while (b.next_issue < b.members.size()) {
-      uint32_t slot = b.members[b.next_issue];
-      Op& op = pool_[slot];
-      if (config_.hazard_prevention) {
-        uint64_t bucket = db_->hash_index(op.req.index_op().table, partition_)
-                              ->BucketIndex(op.hash);
-        if (lock_table_.HeldByOther(bucket, slot)) {
-          b.deferred.push_back(slot);
-          ++b.next_issue;
-          fc_hash_lock_stall_.Add();
-          tick_hazard_stall_ = true;
-          continue;
-        }
+    while (w.next_issue < b.members.size()) {
+      uint32_t slot = b.members[w.next_issue];
+      if (config_.hazard_prevention &&
+          stage_.locks().HeldByOther(BucketIndex(slot), slot)) {
+        w.deferred.push_back(slot);
+        ++w.next_issue;
+        fc_hash_lock_stall_.Add();
+        stage_.NoteHazardStall();
+        continue;
       }
-      if (!b.burst.Issue(dram_, now, op.bucket_slot, false, &batch_data_resp_,
-                         slot, /*snapshot_words=*/1, &burst_total_,
-                         &burst_coalesced_)) {
+      if (!stage_.IssueBurst(bi, now, pool_[slot].bucket_slot,
+                             &batch_data_resp_, slot,
+                             /*snapshot_words=*/1)) {
         fc_hash_dram_stall_.Add();
-        tick_dram_stall_ = true;
+        stage_.NoteDramStall();
         return;
       }
       ++b.outstanding;
-      ++b.next_issue;
+      ++w.next_issue;
     }
-  } else {  // Phase::kNodes
-    while (b.next_issue < b.node_members.size()) {
-      uint32_t slot = b.node_members[b.next_issue];
-      if (!b.burst.Issue(dram_, now, pool_[slot].cur, false, &batch_data_resp_,
-                         slot, /*snapshot_words=*/0, &burst_total_,
-                         &burst_coalesced_)) {
+  } else {
+    while (w.next_issue < w.node_members.size()) {
+      uint32_t slot = w.node_members[w.next_issue];
+      if (!stage_.IssueBurst(bi, now, pool_[slot].cur, &batch_data_resp_,
+                             slot, /*snapshot_words=*/0)) {
         fc_traverse_dram_stall_.Add();
-        tick_dram_stall_ = true;
+        stage_.NoteDramStall();
         return;
       }
       ++b.outstanding;
-      ++b.next_issue;
+      ++w.next_issue;
     }
   }
 }
@@ -284,37 +123,29 @@ void HashPipeline::TickBatchExec(uint64_t now) {
   // comparator works through queued responses within the cycle — the
   // responses themselves already arrived spread over DRAM service time.
   while (!batch_key_resp_.empty()) {
-    sim::MemResponse resp = std::move(batch_key_resp_.front());
+    uint32_t slot = uint32_t(batch_key_resp_.front().cookie);
     batch_key_resp_.pop_front();
-    uint32_t slot = uint32_t(resp.cookie);
-    Op& op = pool_[slot];
-    sim::InlineVec<uint8_t, 48> key(op.req.index_op().key_len);
-    dram_->ReadBytes(op.req.index_op().key_addr, key.data(), key.size());
-    op.hash = db::HashTableLayout::HashKey(key.data(), uint16_t(key.size()));
-    op.bucket_slot = db_->hash_index(op.req.index_op().table, partition_)
-                         ->BucketSlot(op.hash);
-    fc_hash_stage_.Add();
-    --batches_[op.batch].outstanding;
+    HashKey(slot);
+    --stage_.batch(stage_.batch_of(slot)).outstanding;
   }
   // Bucket-head and chain-node responses, disambiguated by the owning
-  // batch's phase (a batch never advances with responses outstanding).
+  // batch's level (a batch never advances with responses outstanding).
   while (!batch_data_resp_.empty()) {
     sim::MemResponse resp = std::move(batch_data_resp_.front());
     batch_data_resp_.pop_front();
     uint32_t slot = uint32_t(resp.cookie);
-    Op& op = pool_[slot];
-    Batch& b = batches_[op.batch];
+    uint32_t bi = stage_.batch_of(slot);
+    AccessStage::Batch& b = stage_.batch(bi);
     --b.outstanding;
-    if (b.phase == Batch::Phase::kBuckets) {
+    if (!walks_[bi].nodes) {
       fc_headfetch_stage_.Add();
       sim::Addr head = resp.data[0];
       if (head == sim::kNullAddr) {
         --b.live;
-        Emit(slot, isa::CpStatus::kNotFound, 0, cc::WriteKind::kNone,
-             sim::kNullAddr);
+        stage_.Emit(slot, isa::CpStatus::kNotFound);
       } else {
-        op.cur = head;
-        b.node_members.push_back(slot);
+        pool_[slot].cur = head;
+        walks_[bi].node_members.push_back(slot);
       }
     } else {
       fc_keycomp_stage_.Add();
@@ -325,10 +156,11 @@ void HashPipeline::TickBatchExec(uint64_t now) {
       if (!CompareOrAdvance(now, slot)) EnqueueTraverse(slot);
     }
   }
-  // Phase FSMs, in batch-index order (deterministic across modes).
-  for (uint32_t bi = 0; bi < uint32_t(batches_.size()); ++bi) {
-    Batch& b = batches_[bi];
-    if (b.phase == Batch::Phase::kKeys && b.outstanding == 0) {
+  // Level walks, in batch-index order (deterministic across modes).
+  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
+    AccessStage::Batch& b = stage_.batch(bi);
+    BatchWalk& w = walks_[bi];
+    if (b.phase == AccessStage::Batch::Phase::kKeys && b.outstanding == 0) {
       // Per-level sort: order probes by bucket slot so the bucket reads
       // issue as an ascending-address burst train. stable_sort keeps
       // admission order among equal buckets.
@@ -336,67 +168,49 @@ void HashPipeline::TickBatchExec(uint64_t now) {
                        [this](uint32_t a, uint32_t c) {
                          return pool_[a].bucket_slot < pool_[c].bucket_slot;
                        });
-      b.phase = Batch::Phase::kBuckets;
-      b.next_issue = 0;
+      b.phase = AccessStage::Batch::Phase::kWalk;
+      w.next_issue = 0;
       b.burst.Reset();
     }
-    if (b.phase == Batch::Phase::kBuckets) {
+    if (b.phase != AccessStage::Batch::Phase::kWalk) continue;
+    if (!w.nodes) {
       IssueBatchReads(now, bi);
-      if (b.next_issue == b.members.size() && b.deferred.empty() &&
+      if (w.next_issue == b.members.size() && w.deferred.empty() &&
           b.outstanding == 0) {
-        std::stable_sort(b.node_members.begin(), b.node_members.end(),
+        std::stable_sort(w.node_members.begin(), w.node_members.end(),
                          [this](uint32_t a, uint32_t c) {
                            return pool_[a].cur < pool_[c].cur;
                          });
-        b.phase = Batch::Phase::kNodes;
-        b.next_issue = 0;
+        w.nodes = true;
+        w.next_issue = 0;
         b.burst.Reset();
       }
     }
-    if (b.phase == Batch::Phase::kNodes) {
+    if (w.nodes) {
       IssueBatchReads(now, bi);
-      if (b.next_issue == b.node_members.size() && b.outstanding == 0 &&
+      if (w.next_issue == w.node_members.size() && b.outstanding == 0 &&
           b.live == 0) {
-        RetireBatch(&b);
+        stage_.RetireBatch(bi);
+        w.nodes = false;
+        w.node_members.clear();
+        w.deferred.clear();
+        w.next_issue = 0;
       }
     }
   }
-}
-
-void HashPipeline::TickKeyFetch(uint64_t now) {
-  if (pending_in_.empty() || free_slots_.empty()) return;
-  const comm::Envelope& op = pending_in_.front();
-  // The key read targets the initiator's transaction block; the response
-  // wakes the Hash stage.
-  // Peek-issue before allocating so a DRAM reject leaves no side effects.
-  uint32_t slot = AllocSlot(op);
-  if (!dram_->Issue(now, pool_[slot].req.index_op().key_addr, false,
-                    &hash_resp_, slot)) {
-    FreeSlot(slot);
-    fc_keyfetch_dram_stall_.Add();
-    tick_dram_stall_ = true;
-    return;
-  }
-  pending_in_.pop_front();
-  fc_ops_admitted_.Add();
 }
 
 bool HashPipeline::TryPassHashStage(uint64_t now, uint32_t slot) {
   Op& op = pool_[slot];
-  db::HashTableLayout* layout =
-      db_->hash_index(op.req.index_op().table, partition_);
-  uint64_t bucket = layout->BucketIndex(op.hash);
-  const bool is_insert = op.req.index_op().op == isa::Opcode::kInsert;
+  const bool is_insert = stage_.op(slot).op == isa::Opcode::kInsert;
   if (config_.hazard_prevention) {
-    if (lock_table_.HeldByOther(bucket, slot)) {
+    uint64_t bucket = BucketIndex(slot);
+    if (stage_.locks().HeldByOther(bucket, slot)) {
       fc_hash_lock_stall_.Add();
-      tick_hazard_stall_ = true;
+      stage_.NoteHazardStall();
       return false;
     }
-    if (is_insert && !op.holds_lock) {
-      lock_table_.TryAcquire(bucket, slot);
-      op.holds_lock = true;
-    }
+    if (is_insert && !stage_.HoldsLock(slot)) stage_.Lock(bucket, slot);
   }
   sim::MemResponseQueue* dest = is_insert ? &install_resp_ : &headfetch_resp_;
   // Snapshot the bucket head at DRAM service time: this is what makes the
@@ -404,7 +218,7 @@ bool HashPipeline::TryPassHashStage(uint64_t now, uint32_t slot) {
   if (!dram_->Issue(now, op.bucket_slot, false, dest, slot,
                     /*snapshot_words=*/1)) {
     fc_hash_dram_stall_.Add();
-    tick_dram_stall_ = true;
+    stage_.NoteDramStall();
     return false;
   }
   return true;
@@ -416,18 +230,9 @@ void HashPipeline::TickHash(uint64_t now) {
     return;  // head-of-line stall: nothing else passes this stage
   }
   if (hash_resp_.empty()) return;
-  sim::MemResponse resp = std::move(hash_resp_.front());
+  uint32_t slot = uint32_t(hash_resp_.front().cookie);
   hash_resp_.pop_front();
-  uint32_t slot = uint32_t(resp.cookie);
-  Op& op = pool_[slot];
-  // Functional key fetch (keys in transaction blocks are immutable while
-  // the transaction runs).
-  sim::InlineVec<uint8_t, 48> key(op.req.index_op().key_len);
-  dram_->ReadBytes(op.req.index_op().key_addr, key.data(), key.size());
-  op.hash = db::HashTableLayout::HashKey(key.data(), uint16_t(key.size()));
-  op.bucket_slot =
-      db_->hash_index(op.req.index_op().table, partition_)->BucketSlot(op.hash);
-  fc_hash_stage_.Add();
+  HashKey(slot);
   if (!TryPassHashStage(now, slot)) hash_blocked_ = slot;
 }
 
@@ -438,11 +243,11 @@ void HashPipeline::TickInstall(uint64_t now) {
   if (!install_ack_.empty()) {
     uint32_t slot = uint32_t(install_ack_.front().cookie);
     install_ack_.pop_front();
-    Op& op = pool_[slot];
-    db::TupleAccessor t(dram_, op.new_tuple);
+    sim::Addr tuple = pool_[slot].new_tuple;
     fc_install_stage_.Add();
-    Emit(slot, isa::CpStatus::kOk, t.payload_addr(), cc::WriteKind::kInsert,
-         op.new_tuple);
+    stage_.Emit(slot, isa::CpStatus::kOk,
+                db::TupleAccessor(dram_, tuple).payload_addr(),
+                cc::WriteKind::kInsert, tuple);
     return;
   }
   if (install_blocked_.has_value()) {
@@ -452,7 +257,7 @@ void HashPipeline::TickInstall(uint64_t now) {
                             slot)) {
       install_blocked_.reset();
     } else {
-      tick_dram_stall_ = true;
+      stage_.NoteDramStall();
     }
     return;
   }
@@ -461,16 +266,16 @@ void HashPipeline::TickInstall(uint64_t now) {
   install_resp_.pop_front();
   uint32_t slot = uint32_t(resp.cookie);
   Op& op = pool_[slot];
+  const comm::IndexOp& req = stage_.op(slot);
   // The head value as serviced by DRAM — possibly stale if prevention is
   // off and a racing insert's head write has not completed (Fig. 6a).
   sim::Addr old_head = resp.data[0];
 
-  sim::InlineVec<uint8_t, 48> key(op.req.index_op().key_len);
-  dram_->ReadBytes(op.req.index_op().key_addr, key.data(), key.size());
-  std::vector<uint8_t> payload(op.req.index_op().payload_len);
+  sim::InlineVec<uint8_t, 48> key(req.key_len);
+  dram_->ReadBytes(req.key_addr, key.data(), key.size());
+  std::vector<uint8_t> payload(req.payload_len);
   if (!payload.empty()) {
-    dram_->ReadBytes(op.req.index_op().payload_src, payload.data(),
-                     payload.size());
+    dram_->ReadBytes(req.payload_src, payload.data(), payload.size());
   }
   // New tuples are born dirty; COMMIT publishes them (section 4.7).
   sim::Addr tuple = db::AllocateTuple(
@@ -481,16 +286,14 @@ void HashPipeline::TickInstall(uint64_t now) {
   op.new_tuple = tuple;
 
   // Tuple body: posted writes to fresh memory (race-free by construction).
-  uint64_t footprint =
-      db::TupleFootprint(0, uint16_t(key.size()), uint32_t(payload.size()));
-  for (uint32_t b = 0; b < Bursts(footprint); ++b) {
-    PostWrite(now, tuple + 64ull * b);
-  }
+  stage_.PostWrite(now, tuple,
+                    AccessStage::Bursts(db::TupleFootprint(
+                        0, uint16_t(key.size()), uint32_t(payload.size()))));
   // The bucket-head update is the ordering-sensitive write: its functional
   // effect lands at DRAM service time.
   if (!dram_->IssueWrite64(now, op.bucket_slot, tuple, &install_ack_, slot)) {
     install_blocked_ = slot;
-    tick_dram_stall_ = true;
+    stage_.NoteDramStall();
   }
 }
 
@@ -506,139 +309,18 @@ void HashPipeline::TickHeadFetch(uint64_t now) {
   sim::MemResponse resp = std::move(headfetch_resp_.front());
   headfetch_resp_.pop_front();
   uint32_t slot = uint32_t(resp.cookie);
-  Op& op = pool_[slot];
   sim::Addr head = resp.data[0];
   fc_headfetch_stage_.Add();
   if (head == sim::kNullAddr) {
-    Emit(slot, isa::CpStatus::kNotFound, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
+    stage_.Emit(slot, isa::CpStatus::kNotFound);
     return;
   }
-  op.cur = head;
+  pool_[slot].cur = head;
   if (!dram_->Issue(now, head, false, &keycomp_resp_, slot)) {
     headfetch_blocked_ = slot;
     fc_headfetch_dram_stall_.Add();
-    tick_dram_stall_ = true;
+    stage_.NoteDramStall();
   }
-}
-
-void HashPipeline::FinishAccess(uint64_t now, uint32_t slot,
-                                sim::Addr tuple_addr) {
-  Op& op = pool_[slot];
-  if (!dram_->VerifyTupleGuard(tuple_addr)) {
-    counters_.Add("corruption_detected");
-    Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
-    return;
-  }
-  db::TupleAccessor t(dram_, tuple_addr);
-  cc::AccessMode mode;
-  cc::WriteKind kind = cc::WriteKind::kNone;
-  switch (op.req.index_op().op) {
-    case isa::Opcode::kUpdate:
-      mode = cc::AccessMode::kUpdate;
-      kind = cc::WriteKind::kUpdate;
-      break;
-    case isa::Opcode::kRemove:
-      mode = cc::AccessMode::kRemove;
-      kind = cc::WriteKind::kRemove;
-      break;
-    default:
-      mode = cc::AccessMode::kRead;
-      break;
-  }
-  cc::VisibilityResult vr;
-  sim::Addr payload_override = sim::kNullAddr;
-  if (config_.cc_unit == nullptr ||
-      config_.cc_unit->mode() == cc::CcMode::kTimestamp) {
-    // Default T/O path, kept inline and allocation-free.
-    vr = cc::CheckVisibility(&t, op.req.index_op().ts, mode);
-  } else {
-    cc::CcUnit::AccessResult ar =
-        config_.cc_unit->CheckAccess(&t, op.req.index_op().ts, mode);
-    vr = ar.vis;
-    payload_override = ar.payload_override;
-    // Version-chain walks / snapshot copies consume DRAM bandwidth on this
-    // partition's lane; charge them as posted bursts.
-    for (uint32_t i = 0; i < ar.charge_bursts; ++i) {
-      PostWrite(now, tuple_addr + 64ull * i);
-    }
-  }
-  if (vr.header_dirtied) PostWrite(now, tuple_addr);
-  if (vr.status != isa::CpStatus::kOk) {
-    uint32_t wait_cycles = config_.dirty_wait_cycles;
-    if (wait_cycles == 0 && config_.cc_unit != nullptr &&
-        config_.cc_unit->mode() == cc::CcMode::kSgt) {
-      // SGT prefers waiting out a live writer over aborting: only real
-      // cycles (detected by the unit) reject without a dirty_conflict.
-      wait_cycles = cc::CcUnit::kDefaultDirtyWaitCycles;
-    }
-    if (vr.dirty_conflict && wait_cycles > 0) {
-      // Wait-on-dirty CC policy: park until the uncommitted writer
-      // publishes or rolls back; a timeout falls back to the blind reject.
-      counters_.Add("dirty_waits");
-      dirty_waiters_.push_back(
-          DirtyWaiter{slot, tuple_addr, now + wait_cycles,
-                      now + config_.dirty_poll_interval});
-      return;
-    }
-    Emit(slot, vr.status, 0, cc::WriteKind::kNone, sim::kNullAddr);
-    return;
-  }
-  const uint64_t payload = payload_override != sim::kNullAddr
-                               ? payload_override
-                               : t.payload_addr();
-  Emit(slot, isa::CpStatus::kOk, payload, kind, tuple_addr);
-}
-
-void HashPipeline::TickDirtyWaiters(uint64_t now) {
-  if (dirty_waiters_.empty()) return;
-  // Collect ready entries first: FinishAccess may re-park into the list.
-  std::vector<DirtyWaiter> retry;
-  std::vector<DirtyWaiter> expired;
-  for (size_t i = 0; i < dirty_waiters_.size();) {
-    DirtyWaiter& w = dirty_waiters_[i];
-    if (now >= w.deadline) {
-      expired.push_back(w);
-      w = dirty_waiters_.back();
-      dirty_waiters_.pop_back();
-      continue;
-    }
-    if (now >= w.next_poll) {
-      // One polling read of the tuple header (bandwidth accounting).
-      dram_->Issue(now, w.tuple, false, nullptr, 0);
-      w.next_poll = now + config_.dirty_poll_interval;
-      bool wake = !db::TupleAccessor(dram_, w.tuple).dirty();
-      // The mark's owner can also change while parked: a live local
-      // writer taking over a tuple we parked on as unknown-dirty. Further
-      // waiting is futile (that writer's commit sits behind the batch
-      // barrier this parked access holds open), but CheckAccess can now
-      // commit-order the access against the known writer — retry it.
-      if (!wake && config_.cc_unit != nullptr &&
-          config_.cc_unit->WaitFutile(w.tuple,
-                                      pool_[w.slot].req.index_op().ts)) {
-        counters_.Add("dirty_wait_owner_wakeups");
-        wake = true;
-      }
-      if (wake) {
-        retry.push_back(w);
-        w = dirty_waiters_.back();
-        dirty_waiters_.pop_back();
-        continue;
-      }
-    }
-    ++i;
-  }
-  for (const DirtyWaiter& w : expired) {
-    counters_.Add("dirty_wait_timeouts");
-    Emit(w.slot, isa::CpStatus::kRejected, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
-  }
-  for (const DirtyWaiter& w : retry) {
-    counters_.Add("dirty_wait_wakeups");
-    FinishAccess(now, w.slot, w.tuple);
-  }
-  if (!dirty_waiters_.empty()) tick_hazard_stall_ = true;
 }
 
 bool HashPipeline::CompareOrAdvance(uint64_t now, uint32_t slot) {
@@ -646,23 +328,21 @@ bool HashPipeline::CompareOrAdvance(uint64_t now, uint32_t slot) {
   // Integrity guard before trusting any header/key byte of this node: a
   // flipped key byte would otherwise surface as a silent kNotFound.
   if (!dram_->VerifyTupleGuard(op.cur)) {
-    counters_.Add("corruption_detected");
-    Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
+    stage_.EmitCorrupted(slot);
     return true;
   }
+  const comm::IndexOp& req = stage_.op(slot);
   db::TupleAccessor t(dram_, op.cur);
-  sim::InlineVec<uint8_t, 48> key(op.req.index_op().key_len);
-  dram_->ReadBytes(op.req.index_op().key_addr, key.data(), key.size());
+  sim::InlineVec<uint8_t, 48> key(req.key_len);
+  dram_->ReadBytes(req.key_addr, key.data(), key.size());
   if (db::CompareKeyToTuple(*dram_, key.data(), uint16_t(key.size()), t) ==
       0) {
-    FinishAccess(now, slot, op.cur);
+    stage_.FinishAccess(now, slot, op.cur);
     return true;
   }
   sim::Addr next = t.next(0);
   if (next == sim::kNullAddr) {
-    Emit(slot, isa::CpStatus::kNotFound, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
+    stage_.Emit(slot, isa::CpStatus::kNotFound);
     return true;
   }
   op.cur = next;
@@ -687,9 +367,8 @@ void HashPipeline::TickKeyComp(uint64_t now) {
   // KeyComp examines the FIRST chain node only; mismatches are handed to a
   // Traverse unit so long chains never block ops terminating here.
   if (keycomp_resp_.empty()) return;
-  sim::MemResponse resp = std::move(keycomp_resp_.front());
+  uint32_t slot = uint32_t(keycomp_resp_.front().cookie);
   keycomp_resp_.pop_front();
-  uint32_t slot = uint32_t(resp.cookie);
   fc_keycomp_stage_.Add();
   if (!CompareOrAdvance(now, slot)) EnqueueTraverse(slot);
 }
@@ -702,7 +381,7 @@ void HashPipeline::TickTraverse(uint64_t now, uint32_t unit_idx) {
     uint32_t slot = unit.in.front();
     if (!dram_->Issue(now, pool_[slot].cur, false, &unit.resp, slot)) {
       fc_traverse_dram_stall_.Add();
-      tick_dram_stall_ = true;
+      stage_.NoteDramStall();
       return;
     }
     unit.in.pop_front();
@@ -717,7 +396,7 @@ void HashPipeline::TickTraverse(uint64_t now, uint32_t unit_idx) {
       unit.waiting = true;
     } else {
       fc_traverse_dram_stall_.Add();
-      tick_dram_stall_ = true;
+      stage_.NoteDramStall();
     }
     return;
   }
@@ -735,17 +414,14 @@ void HashPipeline::TickTraverse(uint64_t now, uint32_t unit_idx) {
   if (!dram_->Issue(now, pool_[slot].cur, false, &unit.resp, slot)) {
     unit.waiting = false;
     fc_traverse_dram_stall_.Add();
-      tick_dram_stall_ = true;
+    stage_.NoteDramStall();
   }
 }
 
 bool HashPipeline::HashBlockedOnLock() const {
-  if (!hash_blocked_.has_value() || !config_.hazard_prevention) return false;
-  const Op& op = pool_[*hash_blocked_];
-  return lock_table_.HeldByOther(
-      db_->hash_index(op.req.index_op().table, partition_)
-          ->BucketIndex(op.hash),
-      *hash_blocked_);
+  return hash_blocked_.has_value() && config_.hazard_prevention &&
+         stage_.locks().HeldByOther(BucketIndex(*hash_blocked_),
+                                    *hash_blocked_);
 }
 
 uint64_t HashPipeline::NextWakeCycle(uint64_t now) const {
@@ -767,49 +443,24 @@ uint64_t HashPipeline::NextWakeCycle(uint64_t now) const {
   } else if (!hash_resp_.empty()) {
     return now + 1;
   }
-  // KeyFetch admits (or retries a rejected admission) whenever an op is
-  // queued and a slot is free.
-  if (!pending_in_.empty() && !free_slots_.empty()) return now + 1;
-  uint64_t batch_wake = sim::kNeverWakes;
-  if (config_.traversal == TraversalMode::kBatched) {
-    if (!batch_key_resp_.empty() || !batch_data_resp_.empty()) return now + 1;
-    for (const Batch& b : batches_) {
-      switch (b.phase) {
-        case Batch::Phase::kIdle:
-          break;
-        case Batch::Phase::kCollect:
-          // A partial batch is quiescent until its timeout flush (new
-          // arrivals wake the pipeline via pending_in_ above).
-          if (!b.members.empty()) {
-            batch_wake = std::min(batch_wake, b.flush_deadline);
-          }
-          break;
-        case Batch::Phase::kKeys:
-          // All key responses in: the sort + phase advance runs next tick.
-          if (b.outstanding == 0) return now + 1;
-          break;
-        case Batch::Phase::kBuckets: {
-          // Unissued members are DRAM-reject retries (every tick bumps
-          // reject counters); lock-deferred members are quiescent until
-          // the holding insert's install completes (a DRAM wake).
-          if (b.next_issue < b.members.size()) return now + 1;
-          for (uint32_t slot : b.deferred) {
-            const Op& op = pool_[slot];
-            if (!lock_table_.HeldByOther(
-                    db_->hash_index(op.req.index_op().table, partition_)
-                        ->BucketIndex(op.hash),
-                    slot)) {
-              return now + 1;
-            }
-          }
-          if (b.deferred.empty() && b.outstanding == 0) return now + 1;
-          break;
+  if (!batch_key_resp_.empty() || !batch_data_resp_.empty()) return now + 1;
+  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
+    const AccessStage::Batch& b = stage_.batch(bi);
+    const BatchWalk& w = walks_[bi];
+    if (b.phase == AccessStage::Batch::Phase::kWalk && !w.nodes) {
+      // Unissued members are DRAM-reject retries (every tick bumps reject
+      // counters); lock-deferred members are quiescent until the holding
+      // insert's install completes (a DRAM wake).
+      if (w.next_issue < b.members.size()) return now + 1;
+      for (uint32_t slot : w.deferred) {
+        if (!stage_.locks().HeldByOther(BucketIndex(slot), slot)) {
+          return now + 1;
         }
-        case Batch::Phase::kNodes:
-          if (b.next_issue < b.node_members.size()) return now + 1;
-          if (b.outstanding == 0) return now + 1;
-          break;
       }
+      if (w.deferred.empty() && b.outstanding == 0) return now + 1;
+    } else if (b.phase == AccessStage::Batch::Phase::kWalk) {
+      if (w.next_issue < w.node_members.size()) return now + 1;
+      if (b.outstanding == 0) return now + 1;
     }
   }
   for (const TraverseUnit& u : traverse_units_) {
@@ -819,62 +470,29 @@ uint64_t HashPipeline::NextWakeCycle(uint64_t now) const {
       return now + 1;
     }
   }
-  // Dirty waiters are pure hazard-stall accounting between their polling
-  // reads; polls and deadlines are fixed future cycles.
-  uint64_t wake = batch_wake;
-  for (const DirtyWaiter& w : dirty_waiters_) {
-    wake = std::min(wake, std::min(w.deadline, w.next_poll));
-  }
-  return wake > now ? wake : now + 1;
+  return stage_.NextWakeCycle(now);
 }
 
 void HashPipeline::SkipCycles(uint64_t now, uint64_t count) {
   (void)now;
-  if (active_ > 0 || !pending_in_.empty()) {
-    busy_cycles_ += count;
-    occupancy_sum_ += uint64_t(active_) * count;
-  }
   bool hazard = false;
   if (HashBlockedOnLock()) {
     fc_hash_lock_stall_.Add(count);
     hazard = true;
   }
-  if (config_.traversal == TraversalMode::kBatched) {
-    for (const Batch& b : batches_) {
-      if (b.phase != Batch::Phase::kBuckets) continue;
-      // Deferred members stay lock-held across a skipped window (a lock
-      // release is a DRAM wake): replay the per-tick retry counting.
-      for (size_t i = 0; i < b.deferred.size(); ++i) {
-        fc_hash_lock_stall_.Add(count);
-        hazard = true;
-      }
+  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
+    if (stage_.batch(bi).phase != AccessStage::Batch::Phase::kWalk ||
+        walks_[bi].nodes) {
+      continue;
+    }
+    // Deferred members stay lock-held across a skipped window (a lock
+    // release is a DRAM wake): replay the per-tick retry counting.
+    for (size_t i = 0; i < walks_[bi].deferred.size(); ++i) {
+      fc_hash_lock_stall_.Add(count);
+      hazard = true;
     }
   }
-  if (!dirty_waiters_.empty()) hazard = true;
-  tick_dram_stall_ = false;
-  tick_hazard_stall_ = hazard;
-}
-
-void HashPipeline::CollectStats(StatsScope scope) const {
-  scope.SetCounter("busy_cycles", busy_cycles_);
-  scope.SetCounter("pool_size", config_.pool_size);
-  scope.SetGauge("mean_occupancy",
-                 busy_cycles_ > 0
-                     ? double(occupancy_sum_) / double(busy_cycles_)
-                     : 0);
-  scope.MergeCounterSet(counters_);
-  // Batch scope emitted only in kBatched mode so per-op stats JSON stays
-  // byte-identical to pre-batch builds.
-  if (config_.traversal == TraversalMode::kBatched) {
-    StatsScope b = scope.Sub("batch");
-    b.SetCounter("batches_flushed", batches_flushed_);
-    b.SetCounter("flush_full", batch_flush_full_);
-    b.SetCounter("flush_timeout", batch_flush_timeout_);
-    b.SetCounter("flush_batch_end", batch_flush_end_);
-    b.SetCounter("burst_total_accesses", burst_total_);
-    b.SetCounter("burst_coalesced_accesses", burst_coalesced_);
-    b.SetSummary("probes_per_batch", probes_per_batch_);
-  }
+  stage_.SkipCycles(count, hazard);
 }
 
 }  // namespace bionicdb::index

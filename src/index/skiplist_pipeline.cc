@@ -1,36 +1,28 @@
 #include "index/skiplist_pipeline.h"
 
 #include <algorithm>
-
 #include <cassert>
 
-#include "cc/cc_unit.h"
 #include "cc/visibility.h"
 #include "db/tuple.h"
 
 namespace bionicdb::index {
 
-namespace {
-uint32_t Bursts(uint64_t bytes) { return uint32_t((bytes + 63) / 64); }
-}  // namespace
-
 SkiplistPipeline::SkiplistPipeline(db::Database* db,
                                    db::PartitionId partition, Config config,
+                                   const AccessStage::Settings& settings,
                                    ResultQueue* results)
     : db_(db),
       dram_(db->dram()),
       partition_(partition),
       config_(config),
-      results_(results),
+      stage_(db->dram(), config.pool_size, settings, results),
       pool_(config.pool_size),
       stages_(config.n_stages),
-      scanners_(config.n_scanners) {
+      scanners_(config.n_scanners),
+      walks_(stage_.batch_count()) {
   assert(config.n_stages >= 1 && config.n_stages <= db::kSkiplistMaxHeight);
   assert(config.n_scanners >= 1);
-  free_slots_.reserve(config.pool_size);
-  for (uint32_t i = 0; i < config.pool_size; ++i) {
-    free_slots_.push_back(config.pool_size - 1 - i);
-  }
   // Range binding: every stage gets an equal share, and the remainder is
   // assigned to the TOP stage — upper levels are exponentially sparser so
   // wider upper ranges keep the dataflow balanced (section 4.4.2).
@@ -45,62 +37,10 @@ SkiplistPipeline::SkiplistPipeline(db::Database* db,
     hi -= width;
   }
   assert(stages_.back().lo == 0);
-  if (config_.traversal == TraversalMode::kBatched) {
-    config_.batch_size = std::max<uint32_t>(
-        1, std::min(config_.batch_size, config_.pool_size));
-    batches_.resize(4);
-    for (Batch& b : batches_) b.members.reserve(config_.batch_size);
-  }
 }
 
-bool SkiplistPipeline::Accept(const comm::Envelope& env) {
-  if (free_slots_.empty() && pending_in_.size() >= pool_.size()) return false;
-  pending_in_.push_back(env);
-  return true;
-}
-
-uint32_t SkiplistPipeline::AllocSlot(const comm::Envelope& env) {
-  assert(!free_slots_.empty());
-  uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  pool_[slot] = Op{};
-  pool_[slot].req = env;
-  pool_[slot].in_use = true;
-  ++active_;
-  return slot;
-}
-
-void SkiplistPipeline::FreeSlot(uint32_t slot) {
-  assert(pool_[slot].in_use);
-  for (uint64_t key : pool_[slot].held_locks) {
-    lock_table_.Release(key, slot);
-  }
-  pool_[slot].held_locks.clear();
-  pool_[slot].in_use = false;
-  free_slots_.push_back(slot);
-  --active_;
-}
-
-void SkiplistPipeline::Emit(uint32_t slot, isa::CpStatus status,
-                            uint64_t payload, cc::WriteKind kind,
-                            sim::Addr tuple_addr) {
-  comm::IndexResult r;
-  r.status = status;
-  r.payload = payload;
-  r.write_kind = status == isa::CpStatus::kOk ? kind : cc::WriteKind::kNone;
-  r.tuple_addr = tuple_addr;
-  results_->push_back(comm::Envelope::Reply(pool_[slot].req, r));
-  FreeSlot(slot);
-}
-
-void SkiplistPipeline::PostWrite(uint64_t now, sim::Addr addr) {
-  if (!dram_->Issue(now, addr, /*is_write=*/true, nullptr, 0)) {
-    counters_.Add("posted_write_overflow");
-  }
-}
-
-db::SkiplistLayout* SkiplistPipeline::Layout(const Op& op) const {
-  return db_->skiplist_index(op.req.index_op().table, partition_);
+db::SkiplistLayout* SkiplistPipeline::Layout(uint32_t slot) const {
+  return db_->skiplist_index(stage_.op(slot).table, partition_);
 }
 
 std::vector<uint64_t> SkiplistPipeline::LinksFromSnapshot(
@@ -116,28 +56,22 @@ int SkiplistPipeline::CompareProbe(const Op& op, sim::Addr tower) const {
 }
 
 void SkiplistPipeline::Tick(uint64_t now) {
-  tick_dram_stall_ = false;
-  tick_hazard_stall_ = false;
   // Idle early-out: every internal queue (stage inputs, responses, install
-  // acks, dirty towers) belongs to an op holding a pool slot, and a held
-  // slot keeps active_ > 0 — so an idle pipeline's stage fan-out is a pure
-  // no-op scan. Skipping it is the dominant dense-regime win when a
-  // workload only exercises the other index structure.
-  if (active_ == 0 && pending_in_.empty()) return;
-  ++busy_cycles_;
-  occupancy_sum_ += active_;
+  // acks, parked ops) belongs to an op holding a pool slot — so an idle
+  // pipeline's stage fan-out is a pure no-op scan.
+  if (!stage_.BeginTick()) return;
+  stage_.TickDirtyWaiters(now);
   TickInstalls(now);
   for (uint32_t i = 0; i < config_.n_scanners; ++i) TickScanner(now, i);
   for (int s = int(config_.n_stages) - 1; s >= 0; --s) {
     TickStage(now, uint32_t(s));
   }
-  if (config_.traversal == TraversalMode::kBatched) {
-    // Inserts still flow through the staged path above; probes batch.
-    TickBatchExec(now);
-    TickBatchAdmit(now);
-  } else {
-    TickKeyFetch(now);
-  }
+  // Inserts (and, under kPerOp, every op) flow through the staged path
+  // above; probes batch.
+  if (stage_.batched()) TickBatchExec(now);
+  TickKeyFetch();
+  uint32_t slot = stage_.Admit(now, &keyfetch_resp_, &batch_key_resp_);
+  if (slot != AccessStage::kNone) pool_[slot] = Op{};
 }
 
 void SkiplistPipeline::TickInstalls(uint64_t now) {
@@ -150,10 +84,10 @@ void SkiplistPipeline::TickInstalls(uint64_t now) {
     if (--op.acks_left == 0 && op.writes_left.empty()) {
       installing_.erase(
           std::find(installing_.begin(), installing_.end(), slot));
-      db::TupleAccessor t(dram_, op.new_tuple);
-      counters_.Add("inserts_installed");
-      Emit(slot, isa::CpStatus::kOk, t.payload_addr(),
-           cc::WriteKind::kInsert, op.new_tuple);
+      stage_.counters().Add("inserts_installed");
+      stage_.Emit(slot, isa::CpStatus::kOk,
+                  db::TupleAccessor(dram_, op.new_tuple).payload_addr(),
+                  cc::WriteKind::kInsert, op.new_tuple);
     }
   }
   // Retry link writes rejected by DRAM backpressure.
@@ -162,7 +96,7 @@ void SkiplistPipeline::TickInstalls(uint64_t now) {
     while (!op.writes_left.empty()) {
       auto [addr, value] = op.writes_left.back();
       if (!dram_->IssueWrite64(now, addr, value, &install_ack_, slot)) {
-        tick_dram_stall_ = true;
+        stage_.NoteDramStall();
         break;
       }
       op.writes_left.pop_back();
@@ -170,251 +104,119 @@ void SkiplistPipeline::TickInstalls(uint64_t now) {
   }
 }
 
-void SkiplistPipeline::TickKeyFetch(uint64_t now) {
+void SkiplistPipeline::TickKeyFetch() {
   // Complete one pending key fetch per cycle: cache the key bytes and enter
   // the top traversal stage.
-  if (!keyfetch_resp_.empty()) {
-    sim::MemResponse resp = std::move(keyfetch_resp_.front());
-    keyfetch_resp_.pop_front();
-    uint32_t slot = uint32_t(resp.cookie);
-    Op& op = pool_[slot];
-    op.key.resize(op.req.index_op().key_len);
-    dram_->ReadBytes(op.req.index_op().key_addr, op.key.data(), op.key.size());
-    op.cur = Layout(op)->head();
-    op.level = stages_[0].hi;
-    if (op.req.index_op().op == isa::Opcode::kInsert) {
-      op.new_height = Layout(op)->NextHeight();
-    }
-    stages_[0].in.push_back(slot);
+  if (keyfetch_resp_.empty()) return;
+  uint32_t slot = uint32_t(keyfetch_resp_.front().cookie);
+  keyfetch_resp_.pop_front();
+  const comm::IndexOp& req = stage_.op(slot);
+  Op& op = pool_[slot];
+  op.key.resize(req.key_len);
+  dram_->ReadBytes(req.key_addr, op.key.data(), op.key.size());
+  op.cur = Layout(slot)->head();
+  op.level = stages_[0].hi;
+  if (req.op == isa::Opcode::kInsert) {
+    op.new_height = Layout(slot)->NextHeight();
   }
-  // Admit one new op per cycle.
-  if (pending_in_.empty() || free_slots_.empty()) return;
-  uint32_t slot = AllocSlot(pending_in_.front());
-  if (!dram_->Issue(now, pool_[slot].req.index_op().key_addr, false,
-                    &keyfetch_resp_, slot)) {
-    FreeSlot(slot);
-    counters_.Add("keyfetch_dram_stall");
-    tick_dram_stall_ = true;
-    return;
-  }
-  pending_in_.pop_front();
-  counters_.Add("ops_admitted");
+  stages_[0].in.push_back(slot);
 }
 
-void SkiplistPipeline::TickBatchAdmit(uint64_t now) {
-  // Insert keys arriving through the per-op key-fetch path enter stage 0,
-  // exactly as in kPerOp mode.
-  if (!keyfetch_resp_.empty()) {
-    sim::MemResponse resp = std::move(keyfetch_resp_.front());
-    keyfetch_resp_.pop_front();
-    uint32_t slot = uint32_t(resp.cookie);
-    Op& op = pool_[slot];
-    op.key.resize(op.req.index_op().key_len);
-    dram_->ReadBytes(op.req.index_op().key_addr, op.key.data(), op.key.size());
-    op.cur = Layout(op)->head();
-    op.level = stages_[0].hi;
-    op.new_height = Layout(op)->NextHeight();
-    stages_[0].in.push_back(slot);
+SkiplistPipeline::BatchWalk::Tower::St SkiplistPipeline::CachedTower(
+    BatchWalk* w, sim::Addr addr, bool verify) {
+  auto [it, inserted] = w->towers.try_emplace(addr);
+  if (inserted) {
+    it->second.verify = verify;
+    w->fetch_queue.push_back(addr);
   }
-  // Admit one op per cycle.
-  if (!pending_in_.empty() && !free_slots_.empty()) {
-    const comm::Envelope& env = pending_in_.front();
-    if (env.index_op().op == isa::Opcode::kInsert) {
-      uint32_t slot = AllocSlot(env);
-      if (!dram_->Issue(now, pool_[slot].req.index_op().key_addr, false,
-                        &keyfetch_resp_, slot)) {
-        FreeSlot(slot);
-        counters_.Add("keyfetch_dram_stall");
-        tick_dram_stall_ = true;
-      } else {
-        pending_in_.pop_front();
-        counters_.Add("ops_admitted");
-      }
-    } else {
-      if (collect_ == UINT32_MAX) {
-        for (uint32_t i = 0; i < uint32_t(batches_.size()); ++i) {
-          if (batches_[i].phase == Batch::Phase::kIdle) {
-            collect_ = i;
-            break;
-          }
-        }
-      }
-      // All four contexts busy -> admission stalls until one retires.
-      if (collect_ != UINT32_MAX) {
-        Batch& b = batches_[collect_];
-        uint32_t slot = AllocSlot(env);
-        Op& op = pool_[slot];
-        // The key read is issued AT admission so it overlaps collection;
-        // keys inside one framed transaction block are address-sequential,
-        // so the burst path coalesces them into row hits.
-        if (!b.burst.Issue(dram_, now, op.req.index_op().key_addr, false,
-                           &b.key_resp, slot, 0, &burst_total_,
-                           &burst_coalesced_)) {
-          FreeSlot(slot);
-          counters_.Add("keyfetch_dram_stall");
-          tick_dram_stall_ = true;
-        } else {
-          if (b.members.empty()) {
-            b.phase = Batch::Phase::kCollect;
-            b.flush_deadline = now + config_.batch_timeout_cycles;
-          }
-          b.members.push_back(slot);
-          ++b.outstanding;
-          ++b.live;
-          pending_in_.pop_front();
-          counters_.Add("ops_admitted");
-          if (uint32_t(b.members.size()) >= config_.batch_size) {
-            ++batch_flush_full_;
-            FlushCollect();
-          } else if (op.req.index_op().batch_flags & isa::kBatchFlagEnd) {
-            ++batch_flush_end_;
-            FlushCollect();
-          }
-        }
-      }
-    }
-  }
-  // Flush timeout: no probe waits in the collector past its deadline.
-  if (collect_ != UINT32_MAX &&
-      batches_[collect_].phase == Batch::Phase::kCollect &&
-      now >= batches_[collect_].flush_deadline) {
-    ++batch_flush_timeout_;
-    FlushCollect();
-  }
-}
-
-void SkiplistPipeline::FlushCollect() {
-  Batch& b = batches_[collect_];
-  b.phase = Batch::Phase::kKeys;
-  ++batches_flushed_;
-  probes_per_batch_.Add(double(b.members.size()));
-  collect_ = UINT32_MAX;
-}
-
-void SkiplistPipeline::RetireBatch(Batch* b) {
-  b->phase = Batch::Phase::kIdle;
-  b->members.clear();
-  b->outstanding = 0;
-  b->live = 0;
-  b->level = 0;
-  b->fetch_queue.clear();
-  b->towers.clear();
-  b->burst.Reset();
-}
-
-void SkiplistPipeline::RequestFetch(Batch* b, sim::Addr addr, bool verify) {
-  auto [it, inserted] = b->towers.try_emplace(addr);
-  if (!inserted) return;  // already queued, in flight, or cached
-  it->second.st = Batch::Tower::St::kQueued;
-  it->second.verify = verify;
-  b->fetch_queue.push_back(addr);
+  return it->second.st;
 }
 
 void SkiplistPipeline::TickBatchExec(uint64_t now) {
-  for (Batch& b : batches_) {
-    if (b.phase == Batch::Phase::kIdle) continue;
-    // Key responses land while the batch is still collecting: cache the
-    // key bytes and park the member at the top level.
-    while (!b.key_resp.empty()) {
-      uint32_t slot = uint32_t(b.key_resp.front().cookie);
-      b.key_resp.pop_front();
-      Op& op = pool_[slot];
-      op.key.resize(op.req.index_op().key_len);
-      dram_->ReadBytes(op.req.index_op().key_addr, op.key.data(),
-                       op.key.size());
-      op.cur = Layout(op)->head();
-      op.level = db::kSkiplistMaxHeight - 1;
+  // Key responses land while the batch is still collecting: cache the key
+  // bytes and park the member at the top level.
+  while (!batch_key_resp_.empty()) {
+    uint32_t slot = uint32_t(batch_key_resp_.front().cookie);
+    batch_key_resp_.pop_front();
+    const comm::IndexOp& req = stage_.op(slot);
+    Op& op = pool_[slot];
+    op.key.resize(req.key_len);
+    dram_->ReadBytes(req.key_addr, op.key.data(), op.key.size());
+    op.cur = Layout(slot)->head();
+    op.level = db::kSkiplistMaxHeight - 1;
+    --stage_.batch(stage_.batch_of(slot)).outstanding;
+  }
+  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
+    AccessStage::Batch& b = stage_.batch(bi);
+    BatchWalk& w = walks_[bi];
+    if (b.phase == AccessStage::Batch::Phase::kIdle) continue;
+    while (!w.fetch_resp.empty()) {
+      sim::Addr addr = sim::Addr(w.fetch_resp.front().cookie);
+      w.fetch_resp.pop_front();
+      auto it = w.towers.find(addr);
+      it->second.st = it->second.verify && !dram_->VerifyTupleGuard(addr)
+                          ? BatchWalk::Tower::St::kCorrupt
+                          : BatchWalk::Tower::St::kReady;
       --b.outstanding;
     }
-    while (!b.fetch_resp.empty()) {
-      sim::Addr addr = sim::Addr(b.fetch_resp.front().cookie);
-      b.fetch_resp.pop_front();
-      auto it = b.towers.find(addr);
-      it->second.st =
-          it->second.verify && !dram_->VerifyTupleGuard(addr)
-              ? Batch::Tower::St::kCorrupt
-              : Batch::Tower::St::kReady;
-      --b.outstanding;
-    }
-    if (b.phase == Batch::Phase::kKeys && b.outstanding == 0) {
+    if (b.phase == AccessStage::Batch::Phase::kKeys && b.outstanding == 0) {
       // Level-wise sort: members ordered by (table, key) so the per-level
       // fetch trains walk rising addresses on bulk-loaded lists.
       std::stable_sort(
           b.members.begin(), b.members.end(),
           [this](uint32_t x, uint32_t y) {
+            const comm::IndexOp& rx = stage_.op(x);
+            const comm::IndexOp& ry = stage_.op(y);
+            if (rx.table != ry.table) return rx.table < ry.table;
             const Op& a = pool_[x];
             const Op& c = pool_[y];
-            if (a.req.index_op().table != c.req.index_op().table) {
-              return a.req.index_op().table < c.req.index_op().table;
-            }
             return std::lexicographical_compare(a.key.begin(), a.key.end(),
                                                 c.key.begin(), c.key.end());
           });
-      b.level = db::kSkiplistMaxHeight - 1;
-      b.phase = Batch::Phase::kWalk;
+      w.level = db::kSkiplistMaxHeight - 1;
+      b.phase = AccessStage::Batch::Phase::kWalk;
     }
-    if (b.phase == Batch::Phase::kWalk) {
-      while (WalkBatch(now, &b)) {
+    if (b.phase == AccessStage::Batch::Phase::kWalk) {
+      while (WalkBatch(now, bi)) {
       }
     }
   }
 }
 
-bool SkiplistPipeline::WalkBatch(uint64_t now, Batch* b) {
+bool SkiplistPipeline::WalkBatch(uint64_t now, uint32_t bi) {
+  using St = BatchWalk::Tower::St;
+  AccessStage::Batch& b = stage_.batch(bi);
+  BatchWalk& w = walks_[bi];
   // Advance every live member at the current level through the batch's
   // tower cache; a member blocks on the first tower not yet fetched.
-  for (uint32_t idx = 0; idx < uint32_t(b->members.size()); ++idx) {
-    uint32_t slot = b->members[idx];
+  for (uint32_t idx = 0; idx < uint32_t(b.members.size()); ++idx) {
+    uint32_t slot = b.members[idx];
     if (slot == kNoMember) continue;
     Op& op = pool_[slot];
-    while (op.level == b->level) {
-      auto cur_it = b->towers.find(op.cur);
-      if (cur_it == b->towers.end()) {
-        // Heads carry no tuple integrity guard, so no verify.
-        RequestFetch(b, op.cur, /*verify=*/false);
-        break;
-      }
-      if (cur_it->second.st == Batch::Tower::St::kQueued ||
-          cur_it->second.st == Batch::Tower::St::kInflight) {
-        break;
-      }
-      if (cur_it->second.st == Batch::Tower::St::kCorrupt) {
-        counters_.Add("corruption_detected");
-        b->members[idx] = kNoMember;
-        --b->live;
-        Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-             sim::kNullAddr);
-        break;
-      }
-      sim::Addr next =
-          db::TupleAccessor(dram_, op.cur).next(uint32_t(op.level));
-      if (next == sim::kNullAddr) {
-        if (op.level == 0) {
-          op.preds[0] = op.cur;
-          op.succs[0] = sim::kNullAddr;
+    while (op.level == w.level) {
+      // Heads carry no tuple integrity guard, so no verify.
+      St st = CachedTower(&w, op.cur, /*verify=*/false);
+      sim::Addr next = sim::kNullAddr;
+      if (st == St::kReady) {
+        next = db::TupleAccessor(dram_, op.cur).next(uint32_t(op.level));
+        if (next == sim::kNullAddr) {
+          if (op.level == 0) {
+            op.preds[0] = op.cur;
+            op.succs[0] = sim::kNullAddr;
+          }
+          --op.level;  // end of level: descend (per-level barrier)
+          break;
         }
-        --op.level;  // end of level: descend (per-level barrier)
+        st = CachedTower(&w, next, /*verify=*/true);
+      }
+      if (st == St::kCorrupt) {
+        b.members[idx] = kNoMember;
+        --b.live;
+        stage_.EmitCorrupted(slot);
         break;
       }
-      auto it = b->towers.find(next);
-      if (it == b->towers.end()) {
-        RequestFetch(b, next, /*verify=*/true);
-        break;
-      }
-      if (it->second.st == Batch::Tower::St::kQueued ||
-          it->second.st == Batch::Tower::St::kInflight) {
-        break;
-      }
-      if (it->second.st == Batch::Tower::St::kCorrupt) {
-        counters_.Add("corruption_detected");
-        b->members[idx] = kNoMember;
-        --b->live;
-        Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-             sim::kNullAddr);
-        break;
-      }
-      int cmp = CompareProbe(op, next);
-      if (cmp > 0) {
+      if (st != St::kReady) break;  // fetch queued or in flight
+      if (CompareProbe(op, next) > 0) {
         op.cur = next;  // probe beyond `next`: move right (cached, free)
         continue;
       }
@@ -429,43 +231,43 @@ bool SkiplistPipeline::WalkBatch(uint64_t now, Batch* b) {
   // Issue the fetch train in discovery order (member-sorted -> burst
   // coalescing). Each unique tower is one timed DRAM access per batch.
   uint32_t issued = 0;
-  for (sim::Addr addr : b->fetch_queue) {
-    if (!b->burst.Issue(dram_, now, addr, false, &b->fetch_resp, addr, 0,
-                        &burst_total_, &burst_coalesced_)) {
-      counters_.Add("batch_fetch_dram_stall");
-      tick_dram_stall_ = true;
+  for (sim::Addr addr : w.fetch_queue) {
+    if (!stage_.IssueBurst(bi, now, addr, &w.fetch_resp, addr,
+                           /*snapshot_words=*/0)) {
+      stage_.counters().Add("batch_fetch_dram_stall");
+      stage_.NoteDramStall();
       break;
     }
-    b->towers[addr].st = Batch::Tower::St::kInflight;
-    ++b->outstanding;
+    w.towers[addr].st = St::kInflight;
+    ++b.outstanding;
     ++issued;
-    counters_.Add("tower_visits");
+    stage_.counters().Add("tower_visits");
   }
-  b->fetch_queue.erase(b->fetch_queue.begin(),
-                       b->fetch_queue.begin() + issued);
-  if (b->outstanding != 0 || !b->fetch_queue.empty()) return false;
-  if (b->live == 0) {
-    RetireBatch(b);
-    return false;
+  w.fetch_queue.erase(w.fetch_queue.begin(), w.fetch_queue.begin() + issued);
+  if (b.outstanding != 0 || !w.fetch_queue.empty()) return false;
+  if (b.live > 0) {
+    // Per-level barrier: every live member below the level?
+    for (uint32_t slot : b.members) {
+      if (slot != kNoMember && pool_[slot].level >= w.level) return false;
+    }
+    if (w.level > 0) {
+      --w.level;
+      return true;  // walk the next level this tick on cached towers
+    }
+    // Terminal round in member order: point ops run visibility/CC per
+    // tuple through the access stage; scans hand off to the scanners.
+    for (uint32_t idx = 0; idx < uint32_t(b.members.size()); ++idx) {
+      uint32_t slot = b.members[idx];
+      if (slot == kNoMember) continue;
+      b.members[idx] = kNoMember;
+      --b.live;
+      Terminal(now, slot);
+    }
   }
-  // Per-level barrier: every live member below the level?
-  for (uint32_t slot : b->members) {
-    if (slot != kNoMember && pool_[slot].level >= b->level) return false;
-  }
-  if (b->level > 0) {
-    --b->level;
-    return true;  // walk the next level this tick on cached towers
-  }
-  // Terminal round in member order: point ops run visibility/CC per tuple
-  // through the shared FinishAccess path; scans hand off to the scanners.
-  for (uint32_t idx = 0; idx < uint32_t(b->members.size()); ++idx) {
-    uint32_t slot = b->members[idx];
-    if (slot == kNoMember) continue;
-    b->members[idx] = kNoMember;
-    --b->live;
-    Terminal(now, slot);
-  }
-  RetireBatch(b);
+  stage_.RetireBatch(bi);
+  w.level = 0;
+  w.fetch_queue.clear();
+  w.towers.clear();
   return false;
 }
 
@@ -477,8 +279,8 @@ void SkiplistPipeline::TickStage(uint64_t now, uint32_t stage_idx) {
     uint32_t slot = s.in.front();
     if (!dram_->Issue(now, pool_[slot].cur, false, &s.resp, slot,
                       kTowerSnapshotWords)) {
-      counters_.Add("stage_dram_stall");
-      tick_dram_stall_ = true;
+      stage_.counters().Add("stage_dram_stall");
+      stage_.NoteDramStall();
       return;
     }
     s.in.pop_front();
@@ -510,32 +312,32 @@ void SkiplistPipeline::TickStage(uint64_t now, uint32_t stage_idx) {
     case Wait::kLockMove:
       // Stalled on a locked next tower; once free, re-read it so the move
       // uses fresh links (the lock holder just rewired them).
-      if (lock_table_.HeldByOther(
+      if (stage_.locks().HeldByOther(
               SkiplistLockKey(s.pending_next, uint32_t(op.level)), slot)) {
-        counters_.Add("lock_stall_cycles");
-        tick_hazard_stall_ = true;
+        stage_.counters().Add("lock_stall_cycles");
+        stage_.NoteHazardStall();
         return;
       }
       if (dram_->Issue(now, s.pending_next, false, &s.resp, slot,
                        kTowerSnapshotWords)) {
         s.wait = Wait::kNext;
       } else {
-        tick_dram_stall_ = true;
+        stage_.NoteDramStall();
       }
       break;
     case Wait::kLockDown:
       // Stalled on our own pred being locked; once free, re-read op.cur.
-      if (lock_table_.HeldByOther(
+      if (stage_.locks().HeldByOther(
               SkiplistLockKey(op.cur, uint32_t(op.level)), slot)) {
-        counters_.Add("lock_stall_cycles");
-        tick_hazard_stall_ = true;
+        stage_.counters().Add("lock_stall_cycles");
+        stage_.NoteHazardStall();
         return;
       }
       if (dram_->Issue(now, op.cur, false, &s.resp, slot,
                        kTowerSnapshotWords)) {
         s.wait = Wait::kLoad;
       } else {
-        tick_dram_stall_ = true;
+        stage_.NoteDramStall();
       }
       break;
   }
@@ -544,7 +346,7 @@ void SkiplistPipeline::TickStage(uint64_t now, uint32_t stage_idx) {
 void SkiplistPipeline::Advance(uint64_t now, Stage* stage) {
   uint32_t slot = *stage->cur_op;
   Op& op = pool_[slot];
-  const bool is_insert = op.req.index_op().op == isa::Opcode::kInsert;
+  const bool is_insert = stage_.op(slot).op == isa::Opcode::kInsert;
   while (true) {
     if (op.level < stage->lo) {
       LeaveStage(now, stage);
@@ -558,13 +360,11 @@ void SkiplistPipeline::Advance(uint64_t now, Stage* stage) {
       if (is_insert && op.level < int(op.new_height)) {
         uint64_t lkey = SkiplistLockKey(op.cur, uint32_t(op.level));
         if (config_.hazard_prevention &&
-            lock_table_.HeldByOther(lkey, slot)) {
+            stage_.locks().HeldByOther(lkey, slot)) {
           stage->wait = Wait::kLockDown;
           return;
         }
-        if (config_.hazard_prevention && lock_table_.TryAcquire(lkey, slot)) {
-          op.held_locks.push_back(lkey);
-        }
+        if (config_.hazard_prevention) stage_.Lock(lkey, slot);
         op.preds[op.level] = op.cur;
         op.succs[op.level] = sim::kNullAddr;
       }
@@ -575,12 +375,12 @@ void SkiplistPipeline::Advance(uint64_t now, Stage* stage) {
     stage->pending_next = next;
     if (!dram_->Issue(now, next, false, &stage->resp, slot,
                       kTowerSnapshotWords)) {
-      counters_.Add("stage_dram_stall");
-      tick_dram_stall_ = true;
+      stage_.counters().Add("stage_dram_stall");
+      stage_.NoteDramStall();
       return;  // wait == kNone; retried next tick
     }
     stage->wait = Wait::kNext;
-    counters_.Add("tower_visits");
+    stage_.counters().Add("tower_visits");
     return;
   }
 }
@@ -589,23 +389,21 @@ void SkiplistPipeline::NextArrived(uint64_t now, Stage* stage,
                                    const sim::MemWords& words) {
   uint32_t slot = *stage->cur_op;
   Op& op = pool_[slot];
-  const bool is_insert = op.req.index_op().op == isa::Opcode::kInsert;
+  const bool is_insert = stage_.op(slot).op == isa::Opcode::kInsert;
   sim::Addr next = stage->pending_next;
   // Integrity guard before trusting the fetched tower's key bytes.
   if (!dram_->VerifyTupleGuard(next)) {
-    counters_.Add("corruption_detected");
     stage->cur_op.reset();
     stage->wait = Wait::kNone;
-    Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
+    stage_.EmitCorrupted(slot);
     return;
   }
   int cmp = CompareProbe(op, next);
   if (cmp > 0) {
     // Probe is beyond `next`: move right onto it.
     if (is_insert && config_.hazard_prevention &&
-        lock_table_.HeldByOther(SkiplistLockKey(next, uint32_t(op.level)),
-                                slot)) {
+        stage_.locks().HeldByOther(SkiplistLockKey(next, uint32_t(op.level)),
+                                   slot)) {
       stage->wait = Wait::kLockMove;
       return;
     }
@@ -618,13 +416,11 @@ void SkiplistPipeline::NextArrived(uint64_t now, Stage* stage,
   // `next` is at/after the probe: stop here, record path, descend.
   if (is_insert && op.level < int(op.new_height)) {
     uint64_t lkey = SkiplistLockKey(op.cur, uint32_t(op.level));
-    if (config_.hazard_prevention && lock_table_.HeldByOther(lkey, slot)) {
+    if (config_.hazard_prevention && stage_.locks().HeldByOther(lkey, slot)) {
       stage->wait = Wait::kLockDown;
       return;
     }
-    if (config_.hazard_prevention && lock_table_.TryAcquire(lkey, slot)) {
-      op.held_locks.push_back(lkey);
-    }
+    if (config_.hazard_prevention) stage_.Lock(lkey, slot);
     op.preds[op.level] = op.cur;
     op.succs[op.level] = next;
   } else if (op.level == 0) {
@@ -653,85 +449,29 @@ void SkiplistPipeline::LeaveStage(uint64_t now, Stage* stage) {
   }
 }
 
-void SkiplistPipeline::FinishAccess(uint64_t now, uint32_t slot,
-                                    sim::Addr tuple_addr) {
-  Op& op = pool_[slot];
-  if (!dram_->VerifyTupleGuard(tuple_addr)) {
-    counters_.Add("corruption_detected");
-    Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
-    return;
-  }
-  db::TupleAccessor t(dram_, tuple_addr);
-  cc::AccessMode mode;
-  cc::WriteKind kind = cc::WriteKind::kNone;
-  switch (op.req.index_op().op) {
-    case isa::Opcode::kUpdate:
-      mode = cc::AccessMode::kUpdate;
-      kind = cc::WriteKind::kUpdate;
-      break;
-    case isa::Opcode::kRemove:
-      mode = cc::AccessMode::kRemove;
-      kind = cc::WriteKind::kRemove;
-      break;
-    default:
-      mode = cc::AccessMode::kRead;
-      break;
-  }
-  cc::VisibilityResult vr;
-  sim::Addr payload_override = sim::kNullAddr;
-  if (config_.cc_unit == nullptr ||
-      config_.cc_unit->mode() == cc::CcMode::kTimestamp) {
-    vr = cc::CheckVisibility(&t, op.req.index_op().ts, mode);
-  } else {
-    // The skiplist pipeline has no dirty-waiter park machinery, so a
-    // dirty_conflict surfaces as a plain rejection here (range workloads
-    // retry through the softcore, exactly like the T/O blind reject).
-    cc::CcUnit::AccessResult ar =
-        config_.cc_unit->CheckAccess(&t, op.req.index_op().ts, mode);
-    vr = ar.vis;
-    payload_override = ar.payload_override;
-    for (uint32_t i = 0; i < ar.charge_bursts; ++i) {
-      PostWrite(now, tuple_addr + 64ull * i);
-    }
-  }
-  if (vr.header_dirtied) PostWrite(now, tuple_addr);
-  if (vr.status != isa::CpStatus::kOk) {
-    Emit(slot, vr.status, 0, cc::WriteKind::kNone, sim::kNullAddr);
-    return;
-  }
-  const uint64_t payload = payload_override != sim::kNullAddr
-                               ? payload_override
-                               : t.payload_addr();
-  Emit(slot, isa::CpStatus::kOk, payload, kind, tuple_addr);
-}
-
 void SkiplistPipeline::Terminal(uint64_t now, uint32_t slot) {
   Op& op = pool_[slot];
-  switch (op.req.index_op().op) {
+  const comm::IndexOp& req = stage_.op(slot);
+  switch (req.op) {
     case isa::Opcode::kSearch:
     case isa::Opcode::kUpdate:
     case isa::Opcode::kRemove: {
       sim::Addr cand = op.succs[0];
       if (cand != sim::kNullAddr && !dram_->VerifyTupleGuard(cand)) {
-        counters_.Add("corruption_detected");
-        Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-             sim::kNullAddr);
+        stage_.EmitCorrupted(slot);
         return;
       }
       if (cand == sim::kNullAddr || CompareProbe(op, cand) != 0) {
-        Emit(slot, isa::CpStatus::kNotFound, 0, cc::WriteKind::kNone,
-             sim::kNullAddr);
+        stage_.Emit(slot, isa::CpStatus::kNotFound);
         return;
       }
-      FinishAccess(now, slot, cand);
+      stage_.FinishAccess(now, slot, cand);
       return;
     }
     case isa::Opcode::kInsert: {
-      std::vector<uint8_t> payload(op.req.index_op().payload_len);
+      std::vector<uint8_t> payload(req.payload_len);
       if (!payload.empty()) {
-        dram_->ReadBytes(op.req.index_op().payload_src, payload.data(),
-                         payload.size());
+        dram_->ReadBytes(req.payload_src, payload.data(), payload.size());
       }
       sim::Addr tower = db::AllocateTuple(
           dram_, op.new_height, op.key.data(), uint16_t(op.key.size()),
@@ -753,12 +493,11 @@ void SkiplistPipeline::Terminal(uint64_t now, uint32_t slot) {
           op.writes_left.emplace_back(link, tower);
         }
       }
-      uint64_t footprint =
-          db::TupleFootprint(op.new_height, uint16_t(op.key.size()),
-                             uint32_t(payload.size()));
-      for (uint32_t b = 0; b < Bursts(footprint); ++b) {
-        PostWrite(now, tower + 64ull * b);
-      }
+      stage_.PostWrite(
+          now, tower,
+          AccessStage::Bursts(db::TupleFootprint(op.new_height,
+                                                 uint16_t(op.key.size()),
+                                                 uint32_t(payload.size()))));
       installing_.push_back(slot);
       return;
     }
@@ -780,8 +519,7 @@ void SkiplistPipeline::Terminal(uint64_t now, uint32_t slot) {
       return;
     }
     default:
-      Emit(slot, isa::CpStatus::kError, 0, cc::WriteKind::kNone,
-           sim::kNullAddr);
+      stage_.Emit(slot, isa::CpStatus::kError);
       return;
   }
 }
@@ -792,15 +530,15 @@ void SkiplistPipeline::TickScanner(uint64_t now, uint32_t scanner_idx) {
     if (sc.in.empty()) return;
     uint32_t slot = sc.in.front();
     Op& op = pool_[slot];
-    if (op.cur == sim::kNullAddr || op.req.index_op().scan_count == 0) {
+    if (op.cur == sim::kNullAddr || stage_.op(slot).scan_count == 0) {
       sc.in.pop_front();
-      Emit(slot, isa::CpStatus::kOk, 0, cc::WriteKind::kNone, sim::kNullAddr);
+      stage_.Emit(slot, isa::CpStatus::kOk);
       return;
     }
     if (!dram_->Issue(now, op.cur, false, &sc.resp, slot,
                       kTowerSnapshotWords)) {
-      counters_.Add("scanner_dram_stall");
-      tick_dram_stall_ = true;
+      stage_.counters().Add("scanner_dram_stall");
+      stage_.NoteDramStall();
       return;
     }
     sc.in.pop_front();
@@ -815,8 +553,8 @@ void SkiplistPipeline::TickScanner(uint64_t now, uint32_t scanner_idx) {
                      kTowerSnapshotWords)) {
       sc.waiting = true;
     } else {
-      counters_.Add("scanner_dram_stall");
-      tick_dram_stall_ = true;
+      stage_.counters().Add("scanner_dram_stall");
+      stage_.NoteDramStall();
     }
     return;
   }
@@ -826,33 +564,31 @@ void SkiplistPipeline::TickScanner(uint64_t now, uint32_t scanner_idx) {
   uint32_t slot = *sc.cur_op;
   Op& op = pool_[slot];
   if (!dram_->VerifyTupleGuard(op.cur)) {
-    counters_.Add("corruption_detected");
     sc.cur_op.reset();
     sc.waiting = false;
-    Emit(slot, isa::CpStatus::kCorrupted, 0, cc::WriteKind::kNone,
-         sim::kNullAddr);
+    stage_.EmitCorrupted(slot);
     return;
   }
+  const comm::IndexOp& req = stage_.op(slot);
   db::TupleAccessor t(dram_, op.cur);
-  if (cc::ScanVisible(t, op.req.index_op().ts)) {
+  if (cc::ScanVisible(t, req.ts)) {
     // Collect the tuple: its payload address lands in the result buffer.
-    dram_->Write64(op.req.index_op().out_buf + 8ull * op.collected,
-                   t.payload_addr());
+    dram_->Write64(req.out_buf + 8ull * op.collected, t.payload_addr());
     ++op.collected;
     if (op.collected % 8 == 0) {
-      PostWrite(now, op.req.index_op().out_buf + 8ull * (op.collected - 8));
+      stage_.PostWrite(now, req.out_buf + 8ull * (op.collected - 8));
     }
   }
   sim::Addr next = words.size() > 3 ? words[3] : sim::kNullAddr;  // level 0
-  if (op.collected >= op.req.index_op().scan_count || next == sim::kNullAddr) {
+  if (op.collected >= req.scan_count || next == sim::kNullAddr) {
     if (op.collected % 8 != 0) {
-      PostWrite(now, op.req.index_op().out_buf + 8ull * (op.collected & ~7u));
+      stage_.PostWrite(now, req.out_buf + 8ull * (op.collected & ~7u));
     }
-    counters_.Add("scans_completed");
+    stage_.counters().Add("scans_completed");
     uint32_t n = op.collected;
     sc.cur_op.reset();
     sc.waiting = false;
-    Emit(slot, isa::CpStatus::kOk, n, cc::WriteKind::kNone, sim::kNullAddr);
+    stage_.Emit(slot, isa::CpStatus::kOk, n);
     return;
   }
   sim::Addr prev = op.cur;
@@ -860,30 +596,28 @@ void SkiplistPipeline::TickScanner(uint64_t now, uint32_t scanner_idx) {
   // Batched traversal charges the next hop at row-hit cost when it stays
   // in the same DRAM row: bulk-loaded bottom lists are address-sequential,
   // so long scans degrade into sequential bursts (paper HC-2).
-  const bool row_hit = config_.traversal == TraversalMode::kBatched &&
-                       dram_->SameRow(prev, next);
+  const bool row_hit = stage_.batched() && dram_->SameRow(prev, next);
   const bool ok =
       row_hit ? dram_->IssueRowHit(now, op.cur, false, &sc.resp, slot,
                                    kTowerSnapshotWords)
               : dram_->Issue(now, op.cur, false, &sc.resp, slot,
                              kTowerSnapshotWords);
-  if (ok && config_.traversal == TraversalMode::kBatched) {
-    ++burst_total_;
-    if (row_hit) ++burst_coalesced_;
-  }
+  if (ok && stage_.batched()) stage_.CountBurst(row_hit);
   if (!ok) {
     // Retry next tick: stay waiting with an empty response queue.
-    counters_.Add("scanner_dram_stall");
-    tick_dram_stall_ = true;
+    stage_.counters().Add("scanner_dram_stall");
+    stage_.NoteDramStall();
     sc.waiting = false;
     return;
   }
 }
 
 uint64_t SkiplistPipeline::NextWakeCycle(uint64_t now) const {
-  // Queued responses/acks and admissions process next tick.
-  if (!install_ack_.empty() || !keyfetch_resp_.empty()) return now + 1;
-  if (!pending_in_.empty() && !free_slots_.empty()) return now + 1;
+  // Queued responses/acks process next tick.
+  if (!install_ack_.empty() || !keyfetch_resp_.empty() ||
+      !batch_key_resp_.empty()) {
+    return now + 1;
+  }
   // Installs with unissued link writes retry every tick (DRAM rejects
   // bump counters); installs waiting purely on acks are quiescent.
   for (uint32_t slot : installing_) {
@@ -903,14 +637,14 @@ uint64_t SkiplistPipeline::NextWakeCycle(uint64_t now) const {
         if (!s.resp.empty()) return now + 1;
         break;  // pure DRAM wait
       case Wait::kLockMove:
-        if (!lock_table_.HeldByOther(
+        if (!stage_.locks().HeldByOther(
                 SkiplistLockKey(s.pending_next, uint32_t(op.level)),
                 *s.cur_op)) {
           return now + 1;  // lock freed: the re-read issues next tick
         }
         break;  // quiescent lock stall (bulk-counted in SkipCycles)
       case Wait::kLockDown:
-        if (!lock_table_.HeldByOther(
+        if (!stage_.locks().HeldByOther(
                 SkiplistLockKey(op.cur, uint32_t(op.level)), *s.cur_op)) {
           return now + 1;
         }
@@ -924,82 +658,46 @@ uint64_t SkiplistPipeline::NextWakeCycle(uint64_t now) const {
       return now + 1;
     }
   }
-  if (config_.traversal == TraversalMode::kBatched) {
-    uint64_t wake = sim::kNeverWakes;
-    for (const Batch& b : batches_) {
-      if (b.phase == Batch::Phase::kIdle) continue;
-      if (!b.key_resp.empty() || !b.fetch_resp.empty()) return now + 1;
-      switch (b.phase) {
-        case Batch::Phase::kCollect:
-          // Quiescent until the flush timeout (or a new admission, which
-          // the pending_in_ check above already covers).
-          wake = std::min(wake, b.flush_deadline);
-          break;
-        case Batch::Phase::kKeys:
-          if (b.outstanding == 0) return now + 1;  // sort + walk act
-          break;  // pure DRAM wait on key reads
-        case Batch::Phase::kWalk:
-          // Unissued fetches retry every tick; a drained walk acts.
-          if (!b.fetch_queue.empty() || b.outstanding == 0) return now + 1;
-          break;
-        default:
-          break;
-      }
+  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
+    const AccessStage::Batch& b = stage_.batch(bi);
+    const BatchWalk& w = walks_[bi];
+    if (!w.fetch_resp.empty()) return now + 1;
+    // A walk acts on unissued fetches (DRAM-reject retries) and once its
+    // fetches drained.
+    if (b.phase == AccessStage::Batch::Phase::kWalk &&
+        (!w.fetch_queue.empty() || b.outstanding == 0)) {
+      return now + 1;
     }
-    if (wake != sim::kNeverWakes) return std::max(wake, now + 1);
   }
-  return sim::kNeverWakes;
+  return stage_.NextWakeCycle(now);
 }
 
 void SkiplistPipeline::SkipCycles(uint64_t now, uint64_t count) {
   (void)now;
-  if (active_ > 0 || !pending_in_.empty()) {
-    busy_cycles_ += count;
-    occupancy_sum_ += uint64_t(active_) * count;
-  }
   bool hazard = false;
   for (const Stage& s : stages_) {
     if (!s.cur_op.has_value()) continue;
     const Op& op = pool_[*s.cur_op];
     const bool lock_stalled =
         (s.wait == Wait::kLockMove &&
-         lock_table_.HeldByOther(
+         stage_.locks().HeldByOther(
              SkiplistLockKey(s.pending_next, uint32_t(op.level)),
              *s.cur_op)) ||
         (s.wait == Wait::kLockDown &&
-         lock_table_.HeldByOther(
+         stage_.locks().HeldByOther(
              SkiplistLockKey(op.cur, uint32_t(op.level)), *s.cur_op));
     if (lock_stalled) {
-      counters_.Add("lock_stall_cycles", count);
+      stage_.counters().Add("lock_stall_cycles", count);
       hazard = true;
     }
   }
-  tick_dram_stall_ = false;
-  tick_hazard_stall_ = hazard;
+  stage_.SkipCycles(count, hazard);
 }
 
 void SkiplistPipeline::CollectStats(StatsScope scope) const {
-  scope.SetCounter("busy_cycles", busy_cycles_);
-  scope.SetCounter("pool_size", config_.pool_size);
   scope.SetCounter("n_stages", config_.n_stages);
   scope.SetCounter("n_scanners", config_.n_scanners);
-  scope.SetGauge("mean_occupancy",
-                 busy_cycles_ > 0
-                     ? double(occupancy_sum_) / double(busy_cycles_)
-                     : 0);
-  scope.MergeCounterSet(counters_);
-  // Batched-only subtree: per-op runs keep their stats JSON byte-identical
-  // to a build without the batch unit.
-  if (config_.traversal == TraversalMode::kBatched) {
-    StatsScope b = scope.Sub("batch");
-    b.SetCounter("batches_flushed", batches_flushed_);
-    b.SetCounter("flush_full", batch_flush_full_);
-    b.SetCounter("flush_timeout", batch_flush_timeout_);
-    b.SetCounter("flush_batch_end", batch_flush_end_);
-    b.SetCounter("burst_total_accesses", burst_total_);
-    b.SetCounter("burst_coalesced_accesses", burst_coalesced_);
-    b.SetSummary("probes_per_batch", probes_per_batch_);
-  }
+  stage_.CollectStats(scope);
 }
 
 }  // namespace bionicdb::index

@@ -37,19 +37,12 @@
 #include <optional>
 #include <vector>
 
-#include "common/stats.h"
 #include "db/database.h"
 #include "db/skiplist_layout.h"
-#include "index/db_op.h"
-#include "index/lock_table.h"
+#include "index/access_stage.h"
 #include "sim/component.h"
 #include "sim/config.h"
-#include "sim/arena.h"
 #include "sim/memory.h"
-
-namespace bionicdb::cc {
-class CcUnit;
-}  // namespace bionicdb::cc
 
 namespace bionicdb::index {
 
@@ -60,28 +53,19 @@ class SkiplistPipeline {
     uint32_t n_stages = 8;
     uint32_t n_scanners = 1;
     bool hazard_prevention = true;
-    /// Traversal strategy (DESIGN.md section 17). kBatched collects
-    /// non-insert probes into level-wise batches: one timed DRAM fetch per
-    /// unique tower per batch (members walk shared fetches functionally),
-    /// issued key-sorted so the BurstIssuer coalesces same-row reads.
-    /// Inserts keep the staged per-op path in both modes — the recorded
-    /// insert path and hazard locks do not batch.
-    TraversalMode traversal = TraversalMode::kPerOp;
-    uint32_t batch_size = 8;
-    uint64_t batch_timeout_cycles = 128;
-    /// Partition-local CC unit (engine-owned); see HashPipeline::Config.
-    cc::CcUnit* cc_unit = nullptr;
   };
 
+  /// Under kBatched (AccessStage::Settings::traversal) probes walk in
+  /// level-wise batches: one timed DRAM fetch per unique tower per batch
+  /// (members walk shared fetches functionally), issued key-sorted so the
+  /// burst train coalesces same-row reads. Inserts keep the staged per-op
+  /// path in both modes — the recorded insert path and hazard locks do
+  /// not batch.
   SkiplistPipeline(db::Database* db, db::PartitionId partition,
-                   Config config, ResultQueue* results);
-
-  /// Admits a new kIndexOp envelope. False when the slot pool is
-  /// exhausted.
-  bool Accept(const comm::Envelope& env);
+                   Config config, const AccessStage::Settings& settings,
+                   ResultQueue* results);
 
   void Tick(uint64_t now);
-  bool Idle() const { return active_ == 0 && pending_in_.empty(); }
 
   /// Event-driven scheduling hint (contract in sim/component.h). Any stage
   /// or scanner holding cached work, a queued response, a pending
@@ -93,20 +77,9 @@ class SkiplistPipeline {
   /// counters/flags for skipped cycles now+1 .. now+count.
   void SkipCycles(uint64_t now, uint64_t count);
 
-  uint32_t active_ops() const { return active_; }
-  /// Ops inside the pipeline or queued at its entrance (for the
-  /// coprocessor-level in-flight cap).
-  uint32_t queued_ops() const {
-    return active_ + uint32_t(pending_in_.size());
-  }
-
-  CounterSet& counters() { return counters_; }
-
-  /// Per-tick stall attribution, valid after Tick(now) for that cycle:
-  /// true when some op failed to make progress this cycle because a DRAM
-  /// issue was rejected / because it stalled behind a hazard path lock.
-  bool dram_stalled() const { return tick_dram_stall_; }
-  bool hazard_stalled() const { return tick_hazard_stall_; }
+  AccessStage& stage() { return stage_; }
+  const AccessStage& stage() const { return stage_; }
+  CounterSet& counters() { return stage_.counters(); }
 
   /// Dumps stage counters, slot occupancy and stall totals under `scope`.
   void CollectStats(StatsScope scope) const;
@@ -128,8 +101,8 @@ class SkiplistPipeline {
   static constexpr uint32_t kTowerSnapshotWords =
       3 + db::kSkiplistMaxHeight;
 
+  /// Per-slot walk state (indexed by the access stage's slot numbers).
   struct Op {
-    comm::Envelope req;  // the kIndexOp envelope being served
     std::vector<uint8_t> key;
     sim::Addr cur = sim::kNullAddr;
     int level = 0;
@@ -137,14 +110,12 @@ class SkiplistPipeline {
     sim::Addr preds[db::kSkiplistMaxHeight] = {};
     sim::Addr succs[db::kSkiplistMaxHeight] = {};
     std::vector<uint64_t> cur_links;  // snapshot of cur's link words
-    std::vector<uint64_t> held_locks;
     // Install state (delayed link writes; locks held until all complete).
     sim::Addr new_tuple = sim::kNullAddr;
     uint32_t acks_left = 0;
     std::vector<std::pair<sim::Addr, uint64_t>> writes_left;
     // Scanner state.
     uint32_t collected = 0;
-    bool in_use = false;
   };
 
   enum class Wait : uint8_t {
@@ -173,15 +144,13 @@ class SkiplistPipeline {
     uint64_t dispatched = 0;  // scans ever assigned to this scanner
   };
 
-  /// Departed-member sentinel inside Batch::members (emitted mid-batch or
-  /// handed to a scanner; the pool slot may already be reused).
-  static constexpr uint32_t kNoMember = UINT32_MAX;
+  /// Departed-member sentinel inside a batch's members (emitted mid-batch
+  /// or handed to a scanner; the pool slot may already be reused).
+  static constexpr uint32_t kNoMember = AccessStage::kNone;
 
-  /// One level-wise batch context (kBatched). Four contexts overlap so a
-  /// flushed batch walks levels while the next one collects — the
-  /// inter-operation pipelining leg of the bench ablation.
-  struct Batch {
-    enum class Phase : uint8_t { kIdle, kCollect, kKeys, kWalk };
+  /// The skiplist half of a batch context: the level-wise walk with its
+  /// per-batch tower cache.
+  struct BatchWalk {
     /// Per-batch tower cache entry: queued/in-flight timed fetches and the
     /// functional outcome once the response lands.
     struct Tower {
@@ -189,56 +158,36 @@ class SkiplistPipeline {
       St st = St::kQueued;
       bool verify = true;  // heads have no integrity guard
     };
-    Phase phase = Phase::kIdle;
-    std::vector<uint32_t> members;  // key-sorted after flush; kNoMember gaps
-    uint32_t outstanding = 0;       // key reads / tower fetches in flight
-    uint32_t live = 0;              // members still walking
-    int level = 0;                  // current level of the level-wise walk
-    uint64_t flush_deadline = 0;
+    int level = 0;  // current level of the level-wise walk
     std::vector<sim::Addr> fetch_queue;  // unissued tower fetches, in
                                          // member-sorted discovery order
     std::map<sim::Addr, Tower> towers;
-    BurstIssuer burst;
-    sim::MemResponseQueue key_resp;
     sim::MemResponseQueue fetch_resp;
   };
 
-  uint32_t AllocSlot(const comm::Envelope& env);
-  void FreeSlot(uint32_t slot);
-  void Emit(uint32_t slot, isa::CpStatus status, uint64_t payload,
-            cc::WriteKind kind, sim::Addr tuple_addr);
-  void PostWrite(uint64_t now, sim::Addr addr);
-
-  db::SkiplistLayout* Layout(const Op& op) const;
+  db::SkiplistLayout* Layout(uint32_t slot) const;
   static std::vector<uint64_t> LinksFromSnapshot(
       const sim::MemWords& words);
 
-  void TickKeyFetch(uint64_t now);
+  /// Caches one arrived per-op key and enters the top traversal stage.
+  void TickKeyFetch();
   void TickStage(uint64_t now, uint32_t stage_idx);
   void TickScanner(uint64_t now, uint32_t scanner_idx);
   void TickInstalls(uint64_t now);
 
   // --- kBatched traversal (DESIGN.md section 17) -----------------------
-  /// Admits one op per cycle in batched mode: inserts take the per-op
-  /// key-fetch path; probes join the collecting batch (key read issued at
-  /// admission through the batch's BurstIssuer). Also applies the
-  /// collector's flush timeout.
-  void TickBatchAdmit(uint64_t now);
   /// Drains batch responses and drives every non-idle batch's walk.
   void TickBatchExec(uint64_t now);
-  /// Seals the collecting batch: no more members, walk starts once the
-  /// outstanding key reads land.
-  void FlushCollect();
-  void RetireBatch(Batch* b);
-  /// Records a once-per-batch timed fetch of `addr` (deduped through the
-  /// batch tower cache); `verify` guards the integrity check (heads have
-  /// no tuple guard).
-  void RequestFetch(Batch* b, sim::Addr addr, bool verify);
+  /// The batch tower cache's state for `addr`, queueing its once-per-batch
+  /// timed fetch on a miss; `verify` guards the integrity check (heads
+  /// have no tuple guard).
+  static BatchWalk::Tower::St CachedTower(BatchWalk* w, sim::Addr addr,
+                                          bool verify);
   /// Advances every live member at the batch's current level using the
   /// tower cache, queues missing fetches, and applies the per-level
   /// barrier (descend / terminal round / retire). Returns true while
   /// repeated invocation this tick can still make progress.
-  bool WalkBatch(uint64_t now, Batch* b);
+  bool WalkBatch(uint64_t now, uint32_t batch);
 
   /// Drives the op inside a stage until it needs DRAM, stalls on a lock, or
   /// leaves the stage.
@@ -251,7 +200,6 @@ class SkiplistPipeline {
   /// Bottom-of-list terminal work: point-op visibility, insert install, or
   /// scanner hand-off.
   void Terminal(uint64_t now, uint32_t slot);
-  void FinishAccess(uint64_t now, uint32_t slot, sim::Addr tuple_addr);
 
   int CompareProbe(const Op& op, sim::Addr tower) const;
 
@@ -259,43 +207,21 @@ class SkiplistPipeline {
   sim::DramMemory* dram_;
   db::PartitionId partition_;
   Config config_;
-  ResultQueue* results_;
-
+  AccessStage stage_;
   std::vector<Op> pool_;
-  std::vector<uint32_t> free_slots_;
-  uint32_t active_ = 0;
-  sim::RingQueue<comm::Envelope> pending_in_;
   sim::MemResponseQueue keyfetch_resp_;
 
   std::vector<Stage> stages_;
   std::vector<Scanner> scanners_;
   uint32_t scanner_rr_ = 0;
 
-  // Batched-traversal state (empty/zero in kPerOp mode).
-  std::vector<Batch> batches_;
-  uint32_t collect_ = UINT32_MAX;  // batch index currently collecting
-  // Batch stats (plain fields, emitted only in kBatched mode so per-op
-  // stats JSON stays identical to the per-op-only build).
-  uint64_t batches_flushed_ = 0;
-  uint64_t batch_flush_full_ = 0;
-  uint64_t batch_flush_timeout_ = 0;
-  uint64_t batch_flush_end_ = 0;
-  uint64_t burst_total_ = 0;
-  uint64_t burst_coalesced_ = 0;
-  Summary probes_per_batch_;
+  // Batched-traversal state (empty in kPerOp mode).
+  std::vector<BatchWalk> walks_;  // one per access-stage batch context
+  sim::MemResponseQueue batch_key_resp_;
 
   // Inserts whose link writes are in flight (locks still held).
   sim::MemResponseQueue install_ack_;
   std::vector<uint32_t> installing_;
-
-  LockTable lock_table_;
-  CounterSet counters_;
-  // Cycle accounting (plain fields: touched every tick, where a
-  // string-keyed counter lookup would be measurable).
-  uint64_t busy_cycles_ = 0;     // ticks with ops in flight or queued
-  uint64_t occupancy_sum_ = 0;   // sum of active_ over busy ticks
-  bool tick_dram_stall_ = false;
-  bool tick_hazard_stall_ = false;
 };
 
 }  // namespace bionicdb::index

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cc/cc_unit.h"
 #include "common/stats.h"
 #include "core/engine.h"
 #include "db/database.h"
@@ -55,7 +56,9 @@ class CoprocHarness {
     schema.payload_len = 8;
     schema.hash_buckets = 1 << 10;
     EXPECT_TRUE(db_->CreateTable(schema).ok());
+    cc_ = std::make_unique<cc::CcUnit>(&sim_->dram(), cc::CcMode::kTimestamp);
     index::IndexCoprocessor::Config cfg;
+    cfg.cc_unit = cc_.get();
     cfg.traversal = traversal;
     cfg.batch_size = batch_size;
     cfg.batch_timeout_cycles = batch_timeout;
@@ -142,6 +145,7 @@ class CoprocHarness {
  private:
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<db::Database> db_;
+  std::unique_ptr<cc::CcUnit> cc_;
   std::unique_ptr<index::IndexCoprocessor> coproc_;
   sim::Addr scratch_ = 0;
   uint64_t scratch_used_ = 0;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "cc/cc_unit.h"
 #include "db/database.h"
 #include "db/tuple.h"
 #include "index/coprocessor.h"
@@ -20,8 +21,14 @@ class IndexPipelineTest : public ::testing::Test {
   void Init(db::IndexKind kind, uint32_t hash_buckets = 1 << 10,
             bool hazard_prevention = true, uint32_t max_inflight = 16,
             uint32_t n_scanners = 1) {
+    // Re-initialisable: tear down users before what they point into.
+    coproc_.reset();
+    cc_.reset();
+    db_.reset();
     sim_ = std::make_unique<sim::Simulator>(sim::TimingConfig());
     db_ = std::make_unique<db::Database>(&sim_->dram(), 1);
+    cc_ = std::make_unique<cc::CcUnit>(&sim_->dram(), cc_mode_,
+                                       dirty_wait_cycles_);
     db::TableSchema schema;
     schema.id = 0;
     schema.index = kind;
@@ -30,6 +37,7 @@ class IndexPipelineTest : public ::testing::Test {
     schema.hash_buckets = hash_buckets;
     ASSERT_TRUE(db_->CreateTable(schema).ok());
     IndexCoprocessor::Config cfg;
+    cfg.cc_unit = cc_.get();
     cfg.max_inflight = max_inflight;
     cfg.hash.hazard_prevention = hazard_prevention;
     cfg.skiplist.hazard_prevention = hazard_prevention;
@@ -86,8 +94,13 @@ class IndexPipelineTest : public ::testing::Test {
     return results;
   }
 
+  /// CC unit settings Init builds the partition's unit with.
+  cc::CcMode cc_mode_ = cc::CcMode::kTimestamp;
+  uint32_t dirty_wait_cycles_ = 0;
+
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<db::Database> db_;
+  std::unique_ptr<cc::CcUnit> cc_;
   std::unique_ptr<IndexCoprocessor> coproc_;
   sim::Addr scratch_ = 0;
   uint64_t scratch_used_ = 0;
@@ -341,6 +354,80 @@ TEST_F(IndexPipelineTest, SkiplistStageRangesCoverAllLevels) {
   auto [lo7, hi7] = pipe.StageRange(7);
   EXPECT_GE(hi0 - lo0, hi7 - lo7);
 }
+
+// Parking on a dirty tuple belongs to the shared access stage, so the
+// outcome must not depend on which index reaches the tuple: each run loads
+// one tuple, marks it dirty with no owning transaction, and SEARCHes it.
+class DirtyParkTest : public IndexPipelineTest,
+                      public ::testing::WithParamInterface<db::IndexKind> {
+ protected:
+  static constexpr uint64_t kKey = 7;
+  static constexpr db::Timestamp kTs = 1000;  // MakeOp's timestamp
+
+  /// Rebuilds the coprocessor around a fresh CC unit and a dirty tuple.
+  db::TupleAccessor InitDirty(cc::CcMode mode, uint32_t wait_cycles) {
+    cc_mode_ = mode;
+    dirty_wait_cycles_ = wait_cycles;
+    Init(GetParam());
+    uint64_t payload = 42;
+    EXPECT_TRUE(db_->LoadU64(0, 0, kKey, &payload, 8).ok());
+    db::TupleAccessor t(&sim_->dram(), db_->FindU64(0, 0, kKey));
+    t.SetFlag(db::kFlagDirty);
+    return t;
+  }
+
+  uint64_t Counter(const char* name) {
+    return GetParam() == db::IndexKind::kHash
+               ? coproc_->hash_pipeline().counters().Get(name)
+               : coproc_->skiplist_pipeline().counters().Get(name);
+  }
+};
+
+TEST_P(DirtyParkTest, ParkingDoesNotDependOnTheIndex) {
+  {
+    SCOPED_TRACE("SGT: an unowned dirty mark parks until it clears");
+    db::TupleAccessor t = InitDirty(cc::CcMode::kSgt, 0);
+    cc_->OnTxnBegin(kTs);
+    ASSERT_TRUE(coproc_->Submit(MakeOp(isa::Opcode::kSearch, kKey, 0)));
+    EXPECT_TRUE(sim_->RunUntil([&] { return Counter("dirty_waits") == 1; },
+                               100'000));
+    sim_->Step(2'000);
+    EXPECT_TRUE(coproc_->results().empty()) << "must still be parked";
+    t.ClearFlag(db::kFlagDirty);
+    ASSERT_TRUE(sim_->RunUntil([&] { return !coproc_->results().empty(); },
+                               100'000));
+    EXPECT_EQ(coproc_->results().front().index_result().status,
+              isa::CpStatus::kOk);
+    EXPECT_EQ(Counter("dirty_wait_wakeups"), 1u);
+  }
+  {
+    SCOPED_TRACE("T/O without a wait budget: the blind reject, at once");
+    InitDirty(cc::CcMode::kTimestamp, 0);
+    auto results = RunOps({MakeOp(isa::Opcode::kSearch, kKey, 0)});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].index_result().status, isa::CpStatus::kRejected);
+    EXPECT_EQ(Counter("dirty_waits"), 0u);
+  }
+  {
+    SCOPED_TRACE("T/O with a budget: a mark that never clears times out");
+    constexpr uint32_t kBudget = 300;
+    InitDirty(cc::CcMode::kTimestamp, kBudget);
+    const uint64_t start = sim_->now();
+    auto results = RunOps({MakeOp(isa::Opcode::kSearch, kKey, 0)});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].index_result().status, isa::CpStatus::kRejected);
+    EXPECT_EQ(Counter("dirty_waits"), 1u);
+    EXPECT_EQ(Counter("dirty_wait_timeouts"), 1u);
+    EXPECT_GE(sim_->now() - start, kBudget);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HashAndSkiplist, DirtyParkTest,
+    ::testing::Values(db::IndexKind::kHash, db::IndexKind::kSkiplist),
+    [](const ::testing::TestParamInfo<db::IndexKind>& info) {
+      return info.param == db::IndexKind::kHash ? "Hash" : "Skiplist";
+    });
 
 }  // namespace
 }  // namespace bionicdb::index

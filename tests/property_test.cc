@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "cc/cc_unit.h"
 #include "common/random.h"
 #include "db/tuple.h"
 #include "host/driver.h"
@@ -41,7 +42,9 @@ TEST_P(HashInsertSurvival, AllInsertsSurvive) {
   schema.payload_len = 8;
   schema.hash_buckets = buckets;
   ASSERT_TRUE(database.CreateTable(schema).ok());
+  cc::CcUnit to(&sim.dram(), cc::CcMode::kTimestamp);
   index::IndexCoprocessor::Config cfg;
+  cfg.cc_unit = &to;
   cfg.max_inflight = 24;
   cfg.hash.pool_size = pool;
   index::IndexCoprocessor coproc(&database, 0, cfg);
@@ -109,7 +112,9 @@ TEST_P(SkiplistIntegrity, InvariantsAfterConcurrentInserts) {
   schema.payload_len = 8;
   schema.index = db::IndexKind::kSkiplist;
   ASSERT_TRUE(database.CreateTable(schema).ok());
+  cc::CcUnit to(&sim.dram(), cc::CcMode::kTimestamp);
   index::IndexCoprocessor::Config cfg;
+  cfg.cc_unit = &to;
   cfg.max_inflight = 24;
   index::IndexCoprocessor coproc(&database, 0, cfg);
   sim.AddComponent(&coproc);

@@ -425,7 +425,7 @@ TEST(SoftcoreCcPolicy, WaitOnDirtyAvoidsRetries) {
     uint32_t wait = i == 0 ? 0u : 50'000u;
     EngineOptions opts;
     opts.n_workers = 1;
-    opts.coproc.hash.dirty_wait_cycles = wait;
+    opts.dirty_wait_cycles = wait;
     BionicDb engine(opts);
     ASSERT_TRUE(engine.database().CreateTable(KvSchema()).ok());
     uint64_t payload = 0;
