@@ -36,6 +36,7 @@ struct Outcome {
 Outcome RunSkewed(const bench::BenchArgs& args, bool zipfian,
                   uint32_t wait_cycles) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.dirty_wait_cycles = wait_cycles;
   core::BionicDb engine(opts);
@@ -67,6 +68,7 @@ Outcome RunSkewed(const bench::BenchArgs& args, bool zipfian,
 
 Outcome RunTpccBatch(const bench::BenchArgs& args, uint32_t max_contexts) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.softcore.max_contexts = max_contexts;
   core::BionicDb engine(opts);
@@ -95,6 +97,7 @@ Outcome RunTpccBatch(const bench::BenchArgs& args, uint32_t max_contexts) {
 
 Outcome RunPayment(const bench::BenchArgs& args, uint32_t wait_cycles) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.softcore.max_contexts = 4;
   opts.dirty_wait_cycles = wait_cycles;
@@ -133,6 +136,7 @@ Outcome RunPayment(const bench::BenchArgs& args, uint32_t wait_cycles) {
 
 double RunYcsbControl(const bench::BenchArgs& args, uint32_t wait_cycles) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.dirty_wait_cycles = wait_cycles;
   core::BionicDb engine(opts);

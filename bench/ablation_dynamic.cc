@@ -24,6 +24,7 @@ struct Mode {
 
 double Run(const bench::BenchArgs& args, const Mode& mode, bool neworder) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.softcore.interleaving = mode.interleaving;
   opts.softcore.dynamic_switching = mode.dynamic;

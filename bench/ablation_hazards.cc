@@ -24,6 +24,7 @@ struct Outcome {
 
 Outcome Run(const bench::BenchArgs& args, bool prevention) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 1;
   opts.coproc.max_inflight = 24;
   opts.coproc.hash.hazard_prevention = prevention;

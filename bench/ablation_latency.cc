@@ -18,6 +18,7 @@ bench::BenchReport* g_report = nullptr;
 double Run(const bench::BenchArgs& args, uint32_t latency,
            bool interleaving, uint32_t inflight = 16) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.timing.dram_latency_cycles = latency;
   opts.softcore.interleaving = interleaving;

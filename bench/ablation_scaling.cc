@@ -19,6 +19,7 @@ double Run(const bench::BenchArgs& args, uint32_t workers,
            comm::Topology topology, double remote_fraction,
            uint32_t workers_per_node = 0) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = workers;
   opts.topology = topology;
   opts.cluster.workers_per_node = workers_per_node;

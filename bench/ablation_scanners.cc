@@ -18,6 +18,7 @@ bench::BenchReport* g_report = nullptr;
 
 double RunHwScan(const bench::BenchArgs& args, uint32_t n_scanners) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.coproc.max_inflight = 24;
   opts.coproc.skiplist.n_scanners = n_scanners;

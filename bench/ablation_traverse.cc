@@ -18,6 +18,7 @@ bench::BenchReport* g_report = nullptr;
 double Run(const bench::BenchArgs& args, uint64_t keys_per_partition,
            uint32_t n_traverse) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 1;
   opts.coproc.max_inflight = 16;
   opts.coproc.hash.n_traverse_units = n_traverse;

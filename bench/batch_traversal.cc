@@ -285,6 +285,7 @@ void ModeIdentityLeg(const BenchArgs& args) {
     host::RunResult result;
     std::string stats_json;
     uint64_t final_now = 0;
+    uint64_t warps = 0;
   };
   auto run_mode = [&args](BenchArgs::SimMode mode, bool record) {
     core::EngineOptions opts;
@@ -315,6 +316,7 @@ void ModeIdentityLeg(const BenchArgs& args) {
     }
     out.result = host::RunToCompletion(&engine, list);
     out.final_now = engine.now();
+    out.warps = engine.simulator().warp_stats().warps;
     StatsRegistry reg;
     engine.CollectStats(&reg);
     out.stats_json = reg.ToJson();
@@ -327,6 +329,8 @@ void ModeIdentityLeg(const BenchArgs& args) {
   };
   const Outcome serial = run_mode(BenchArgs::SimMode::kSerial, true);
   const Outcome event = run_mode(BenchArgs::SimMode::kEventDriven, false);
+  // A serial run that warped would make the comparison event vs event.
+  Check(serial.warps == 0, "serial oracle ticked every cycle");
   Check(event.final_now == serial.final_now,
         "final cycle matches serial: event");
   Check(event.result.committed == serial.result.committed &&

@@ -10,6 +10,7 @@
 //   --smoke     minimal single-config run (implies --quick; used by the
 //               bench_smoke ctest target to exercise the JSON report path)
 //   --seed=N    workload RNG seed (default 42)
+//   --mode=M    simulator mode: event (default) or serial (per-cycle)
 //   --help      print the accepted flags and exit
 //
 // Unknown flags are an error (exit 2): a typo like --qiuck silently
@@ -34,6 +35,7 @@ struct BenchArgs {
   /// Simulator execution mode for engine-backed runs (results are
   /// bit-identical across both; the flag exists so determinism can be
   /// demonstrated — and CI can exercise every mode — from one binary).
+  /// kEventDriven is the engine default; kSerial is the per-cycle oracle.
   enum class SimMode { kSerial, kEventDriven };
 
   bool quick = false;
@@ -41,7 +43,7 @@ struct BenchArgs {
   /// the full measurement + JSON-report path in seconds for CI smoke.
   bool smoke = false;
   uint64_t seed = 42;
-  SimMode mode = SimMode::kSerial;
+  SimMode mode = SimMode::kEventDriven;
   /// CC scheme filter for the CC-diversity benches: "to", "sgt", "mvcc"
   /// or "all" (other benches ignore it).
   std::string cc = "all";
@@ -52,7 +54,7 @@ struct BenchArgs {
   uint32_t scan_len = 0;
 
   void ApplyMode(core::EngineOptions* opts) const {
-    if (mode == SimMode::kEventDriven) opts->timing.event_driven = true;
+    opts->timing.event_driven = mode == SimMode::kEventDriven;
   }
 
   const char* ModeName() const {
@@ -67,7 +69,8 @@ struct BenchArgs {
                  "  --smoke      minimal single-config run (implies "
                  "--quick)\n"
                  "  --seed=N     workload RNG seed (default 42)\n"
-                 "  --mode=M     simulator mode: serial (default), event\n"
+                 "  --mode=M     simulator mode: event (default), serial "
+                 "(per-cycle)\n"
                  "  --cc=S       CC scheme filter: to, sgt, mvcc, all "
                  "(default)\n"
                  "  --batch=N    index batch-size override for the "

@@ -80,6 +80,7 @@ struct HwOutcome {
   host::RunResult result;
   std::string stats_json;  // full engine stats tree (no wall clocks)
   uint64_t final_now = 0;
+  uint64_t warps = 0;  // clock jumps taken (0 for the per-cycle oracle)
   bool conserve = false;
 };
 
@@ -136,6 +137,7 @@ HwOutcome RunHw(const bench::BenchArgs& args, const Contention& c,
   out.result = host::RunToCompletion(&engine, list);
   out.conserve = sb.VerifyConservation(list);
   out.final_now = engine.now();
+  out.warps = engine.simulator().warp_stats().warps;
   StatsRegistry reg;
   engine.CollectStats(&reg);
   out.stats_json = reg.ToJson();
@@ -178,6 +180,9 @@ HwOutcome RunHwAllModes(const bench::BenchArgs& args, const Contention& c,
                              scheme.name);
   HwOutcome event = RunHw(args, c, scheme,
                           bench::BenchArgs::SimMode::kEventDriven, false);
+  // A serial run that warped would make the comparison event vs event.
+  Check(serial.warps == 0, std::string("serial oracle ticked every cycle: "
+                                       "cc/") + c.name + "/" + scheme.name);
   Check(event.stats_json == serial.stats_json &&
             event.final_now == serial.final_now &&
             event.result.committed == serial.result.committed &&

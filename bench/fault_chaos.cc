@@ -72,8 +72,9 @@ uint64_t TxnsPerWorker(const BenchArgs& args) {
   return args.smoke ? 100 : args.quick ? 300 : 2'000;
 }
 
-core::EngineOptions EngineOpts() {
+core::EngineOptions EngineOpts(const BenchArgs& args) {
   core::EngineOptions o;
+  args.ApplyMode(&o);
   o.n_workers = 2;
   return o;
 }
@@ -107,13 +108,13 @@ void RunBaselineParity(const BenchArgs& args, bench::BenchReport* report,
   bench::PrintHeader("chaos/parity", "zero fault rates leave the run intact");
   const uint64_t txns = TxnsPerWorker(args);
 
-  core::BionicDb plain(EngineOpts());
+  core::BionicDb plain(EngineOpts(args));
   workload::Ycsb ycsb_plain(&plain, UpdateOpts(args));
   if (!ycsb_plain.Setup().ok()) return;
   host::RunResult base = RunYcsb(&plain, &ycsb_plain, args.seed, txns);
   Record(report, "parity/no_scheduler", &plain, base, nullptr);
 
-  core::BionicDb faulted(EngineOpts());
+  core::BionicDb faulted(EngineOpts(args));
   fault::FaultScheduler sched(fault::FaultConfig{.seed = args.seed});
   sched.Attach(&faulted);  // all rates zero: hooks installed but inert
   workload::Ycsb ycsb_faulted(&faulted, UpdateOpts(args));
@@ -160,7 +161,7 @@ void RunFaultSweep(const BenchArgs& args, bench::BenchReport* report,
     cfg.worker_freeze_rate = 1e-4 * level.mult;
     cfg.worker_freeze_cycles = 512;
 
-    core::BionicDb engine(EngineOpts());
+    core::BionicDb engine(EngineOpts(args));
     fault::FaultScheduler sched(cfg);
     sched.Attach(&engine);
     workload::Ycsb ycsb(&engine, UpdateOpts(args));
@@ -216,7 +217,7 @@ void RunCommChaos(const BenchArgs& args, bench::BenchReport* report,
   cfg.comm_delay_rate = 0.05;
   cfg.comm_delay_cycles = 32;
 
-  core::BionicDb engine(EngineOpts());
+  core::BionicDb engine(EngineOpts(args));
   fault::FaultScheduler sched(cfg);
   sched.Attach(&engine);  // auto-enables the fabric reliability layer
   workload::Ycsb ycsb(&engine, yopts);
@@ -288,7 +289,7 @@ void RunCorruptionScrub(const BenchArgs& args, bench::BenchReport* report,
   cfg.seed = args.seed;
   cfg.bitflip_rate = args.smoke ? 2e-4 : 5e-5;
 
-  core::BionicDb engine(EngineOpts());
+  core::BionicDb engine(EngineOpts(args));
   fault::FaultScheduler sched(cfg);
   sched.Attach(&engine);  // before Setup: bulk-loaded tuples get guards
   workload::YcsbOptions yopts = UpdateOpts(args);
@@ -342,7 +343,7 @@ void RunCrashRecovery(const BenchArgs& args, bench::BenchReport* report,
   cfg.worker_freeze_rate = 5e-5;
   cfg.worker_freeze_cycles = 256;
 
-  core::BionicDb crashed(EngineOpts());
+  core::BionicDb crashed(EngineOpts(args));
   fault::FaultScheduler sched(cfg);
   sched.Attach(&crashed);
   workload::Ycsb ycsb(&crashed, yopts);
@@ -380,7 +381,7 @@ void RunCrashRecovery(const BenchArgs& args, bench::BenchReport* report,
                 "crash: genuinely mid-batch (some committed, some not)");
 
   // Recover into a fresh engine: same schema + procedures, no population.
-  core::BionicDb recovered(EngineOpts());
+  core::BionicDb recovered(EngineOpts(args));
   for (const db::TableSchema& schema :
        crashed.database().catalogue().tables()) {
     if (!recovered.database().CreateTable(schema).ok()) return;
@@ -460,7 +461,7 @@ ChaosOutcome RunChaosOnce(const BenchArgs& args, uint64_t seed,
   cfg.worker_freeze_rate = 5e-5;
   cfg.worker_freeze_cycles = 256;
 
-  core::BionicDb engine(EngineOpts());
+  core::BionicDb engine(EngineOpts(args));
   fault::FaultScheduler sched(cfg);
   sched.Attach(&engine);
   workload::Ycsb ycsb(&engine, yopts);

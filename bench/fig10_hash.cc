@@ -29,8 +29,9 @@ std::vector<uint32_t> InflightSweep(const BenchArgs& args) {
   return kInflight;
 }
 
-core::EngineOptions EngineOpts(uint32_t inflight) {
+core::EngineOptions EngineOpts(const BenchArgs& args, uint32_t inflight) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.coproc.max_inflight = inflight;
   return opts;
@@ -46,7 +47,7 @@ void KvCurves(const BenchArgs& args) {
   for (uint32_t inflight : InflightSweep(args)) {
     double mops[2];
     for (int mode = 0; mode < 2; ++mode) {
-      core::BionicDb engine(EngineOpts(inflight));
+      core::BionicDb engine(EngineOpts(args, inflight));
       workload::KvOptions kopts;
       kopts.preload_per_partition = preload;
       workload::KvBench kv(&engine, kopts);
@@ -79,7 +80,7 @@ void YcsbCurve(const BenchArgs& args) {
   const uint64_t txns = args.quick ? 200 : 1'500;
   TablePrinter table({"in-flight", "throughput (kTps)"});
   for (uint32_t inflight : InflightSweep(args)) {
-    core::BionicDb engine(EngineOpts(inflight));
+    core::BionicDb engine(EngineOpts(args, inflight));
     workload::YcsbOptions yopts;
     yopts.records_per_partition = records;
     yopts.payload_len = args.quick ? 64 : 1024;
@@ -115,7 +116,7 @@ void TpccCurves(const BenchArgs& args) {
                                   : "TPC-C Payment (kTps) vs in-flight cap");
     TablePrinter table({"in-flight", "throughput (kTps)"});
     for (uint32_t inflight : InflightSweep(args)) {
-      core::EngineOptions opts = EngineOpts(inflight);
+      core::EngineOptions opts = EngineOpts(args, inflight);
       opts.softcore.max_contexts = 4;
       core::BionicDb engine(opts);
       // Local-only variant: the coprocessor is the unit under test.

@@ -36,6 +36,7 @@ void LoadAndPointCurves(const BenchArgs& args) {
     double results[2];
     for (int mode = 0; mode < 2; ++mode) {
       core::EngineOptions opts;
+      args.ApplyMode(&opts);
       opts.n_workers = 4;
       opts.coproc.max_inflight = inflight;
       core::BionicDb engine(opts);
@@ -70,6 +71,7 @@ void LoadAndPointCurves(const BenchArgs& args) {
 double RunHwScan(const BenchArgs& args, uint32_t inflight,
                  uint32_t n_scanners) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.coproc.max_inflight = inflight;
   opts.coproc.skiplist.n_scanners = n_scanners;

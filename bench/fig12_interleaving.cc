@@ -22,6 +22,7 @@ bench::BenchReport* g_report = nullptr;
 
 double RunYcsb(const BenchArgs& args, uint32_t accesses, bool interleaving) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.softcore.interleaving = interleaving;
   core::BionicDb engine(opts);
@@ -50,6 +51,7 @@ double RunYcsb(const BenchArgs& args, uint32_t accesses, bool interleaving) {
 
 double RunTpcc(const BenchArgs& args, bool neworder, bool interleaving) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.softcore.interleaving = interleaving;
   opts.softcore.max_contexts = 4;

@@ -19,6 +19,7 @@ bench::BenchReport* g_report = nullptr;
 double Run(const BenchArgs& args, double remote_fraction,
            comm::Topology topology, uint64_t* messages) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.topology = topology;
   core::BionicDb engine(opts);

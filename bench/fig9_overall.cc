@@ -30,6 +30,7 @@ void RunYcsbC(const BenchArgs& args, bench::BenchReport* report) {
   const uint32_t max_workers = args.smoke ? 2 : 4;
   for (uint32_t workers = 1; workers <= max_workers; ++workers) {
     core::EngineOptions opts;
+    args.ApplyMode(&opts);
     opts.n_workers = workers;
     core::BionicDb engine(opts);
     workload::YcsbOptions yopts;
@@ -89,6 +90,7 @@ void RunTpcc(const BenchArgs& args, bench::BenchReport* report) {
   const uint32_t max_workers = args.smoke ? 2 : 4;
   for (uint32_t workers = 1; workers <= max_workers; ++workers) {
     core::EngineOptions opts;
+    args.ApplyMode(&opts);
     opts.n_workers = workers;
     // Small batches keep single-warehouse contention manageable under the
     // blind-reject timestamp CC (see EXPERIMENTS.md).

@@ -25,6 +25,7 @@ void Profile(const BenchArgs& args, bool tpcc) {
                       "p99 (us)", "retries"});
   for (uint32_t inflight : {1u, 2u, 4u, 8u, 16u}) {
     core::EngineOptions opts;
+    args.ApplyMode(&opts);
     opts.n_workers = 4;
     if (tpcc) opts.softcore.max_contexts = 4;
     core::BionicDb engine(opts);

@@ -14,6 +14,7 @@ bench::BenchReport* g_report = nullptr;
 
 double RunBionic(const bench::BenchArgs& args, uint32_t workers) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = workers;
   core::BionicDb engine(opts);
   workload::YcsbOptions yopts;

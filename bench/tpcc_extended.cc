@@ -24,6 +24,7 @@ struct MixEntry {
 
 host::RunResult Run(const BenchArgs& args, const MixEntry& mix) {
   core::EngineOptions opts;
+  args.ApplyMode(&opts);
   opts.n_workers = 4;
   opts.softcore.max_contexts = 4;
   opts.softcore.dynamic_switching = true;  // best configuration for TPC-C

@@ -865,7 +865,7 @@ uint64_t Softcore::NextWakeCycle(uint64_t now) const {
       // empty => quiescent until the worker submits a block.
       return batch_order_.empty() ? sim::kNeverWakes : now + 1;
     case State::kIngestRetry:   // retries Issue (bumps DRAM reject counters)
-    case State::kDispatchRetry: // retries the coprocessor submit
+    case State::kDispatchRetry: // retries the submit (see worker's hint)
     case State::kSwitching:     // timer already handled above
       return now + 1;
     case State::kFetchBlock:
@@ -921,6 +921,12 @@ void Softcore::SkipCycles(uint64_t now, uint64_t count) {
   }
   if (state_ == State::kTwoPcDecide) {
     fc_twopc_decision_wait_.Add(count);
+    return;
+  }
+  if (state_ == State::kDispatchRetry) {
+    // Only a local retry against a full coprocessor is ever skipped (the
+    // worker's hint); each of its cycles is one failed submit.
+    fc_dispatch_stall_.Add(count);
     return;
   }
   if (state_ == State::kRunning) {

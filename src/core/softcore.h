@@ -127,11 +127,21 @@ class Softcore {
   /// fixed-cost execution timer is a pure no-op until busy_until_; stalled
   /// states that spin a per-cycle counter (RET wait, COMMIT/ABORT result
   /// drain) are quiescent-with-bulk-accounting and wake via the worker's
-  /// own hints (result routing fills the CP registers).
+  /// own hints (result routing fills the CP registers). A dispatch retry
+  /// pins now + 1 here; the worker, which sees the coprocessor, treats a
+  /// local retry against a full coprocessor as quiescent.
   uint64_t NextWakeCycle(uint64_t now) const;
   /// Bulk-applies the per-cycle counters a quiescent span would have
-  /// accumulated (ret/commit/abort wait counters, spin instructions).
+  /// accumulated (ret/commit/abort wait counters, spin instructions,
+  /// dispatch-stall cycles of a skipped local retry).
   void SkipCycles(uint64_t now, uint64_t count);
+
+  /// True when the next cycle's Tick retries a dispatch to the local
+  /// coprocessor (the execution timer has run out).
+  bool RetriesLocalDispatch(uint64_t now) const {
+    return state_ == State::kDispatchRetry && busy_until_ <= now + 1 &&
+           pending_partition_ == worker_id_;
+  }
 
   const BatchStats& stats() const { return stats_; }
   CounterSet& counters() { return counters_; }

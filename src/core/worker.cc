@@ -219,7 +219,20 @@ uint64_t PartitionWorker::NextWakeCycle(uint64_t now) const {
   if (!mem_inbox_.empty()) return now + 1;  // remote-LOAD answers go out
   // mem_pending_ needs no wake of its own: the completion that fills
   // mem_inbox_ is already the DRAM lane's wake point.
-  return std::min(coproc_->NextWakeCycle(now), softcore_->NextWakeCycle(now));
+  // A dispatch retry against a full coprocessor fails every cycle until
+  // the coprocessor frees a slot, and only its own activity (its wake
+  // point) or an inbound request (the inbox check above) moves inflight().
+  const uint64_t softcore_wake = DispatchSpinsOnFullCoproc(now)
+                                     ? sim::kNeverWakes
+                                     : softcore_->NextWakeCycle(now);
+  // The softcore is the cheaper hint and the likelier next-cycle one.
+  if (softcore_wake <= now + 1) return now + 1;
+  return std::min(softcore_wake, coproc_->NextWakeCycle(now));
+}
+
+bool PartitionWorker::DispatchSpinsOnFullCoproc(uint64_t now) const {
+  return softcore_->RetriesLocalDispatch(now) &&
+         coproc_->inflight() >= coproc_->max_inflight();
 }
 
 void PartitionWorker::SkipCycles(uint64_t now, uint64_t count) {
@@ -229,6 +242,8 @@ void PartitionWorker::SkipCycles(uint64_t now, uint64_t count) {
     cycles_.frozen += count;
     return;
   }
+  // Each skipped cycle of a dispatch spin is one rejected submit.
+  if (DispatchSpinsOnFullCoproc(now)) coproc_->SkipCapRejects(count);
   // Forward the skip first so the classification below sees the same
   // span-steady stall flags a real tick would have produced.
   coproc_->SkipCycles(now, count);

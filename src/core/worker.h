@@ -40,11 +40,13 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
   /// Event-driven scheduling hint (contract in sim/component.h): frozen
   /// spans wake at thaw; pending fabric packets or unrouted coprocessor
   /// results want the next cycle; otherwise the earliest of the
-  /// coprocessor's and softcore's own wake points.
+  /// coprocessor's and softcore's own wake points, where a softcore
+  /// dispatch spinning against a full coprocessor counts as quiescent.
   uint64_t NextWakeCycle(uint64_t now) const override;
   /// Bulk-applies the cycle-breakdown accounting for a skipped span (one
-  /// bucket per cycle, identical to per-cycle classification) and forwards
-  /// the skip to the coprocessor and softcore.
+  /// bucket per cycle, identical to per-cycle classification), the cap
+  /// rejects of a skipped dispatch spin, and forwards the skip to the
+  /// coprocessor and softcore.
   void SkipCycles(uint64_t now, uint64_t count) override;
 
   // comm::IssuePort: the single dispatch surface. `dst == id()` applies
@@ -100,6 +102,10 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
   void CollectStats(StatsScope scope) const;
 
  private:
+  /// True when the softcore's next tick retries a local dispatch that the
+  /// coprocessor, at its in-flight cap, must reject: a quiescent spin.
+  bool DispatchSpinsOnFullCoproc(uint64_t now) const;
+
   /// Executes one inbound kMemOp envelope (remote LOAD/STORE/commit
   /// publication against this partition's arena) on this worker's DRAM
   /// lane. Returns false when a LOAD hit DRAM backpressure — the caller

@@ -17,7 +17,7 @@ IndexCoprocessor::IndexCoprocessor(db::Database* db,
 
 bool IndexCoprocessor::Submit(const comm::Envelope& env) {
   if (inflight() >= config_.max_inflight) {
-    counters_.Add("cap_rejects");
+    fc_cap_rejects_.Add();
     return false;
   }
   const db::TableSchema* schema =

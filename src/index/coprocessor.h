@@ -66,6 +66,12 @@ class IndexCoprocessor : public sim::Component {
   uint32_t inflight() const {
     return hash_->stage().queued_ops() + skiplist_->stage().queued_ops();
   }
+  /// The in-flight cap: Submit rejects (and counts a cap reject) while
+  /// inflight() is at it.
+  uint32_t max_inflight() const { return config_.max_inflight; }
+  /// Bulk-charges `count` cap rejects: a dispatch retry the worker skipped
+  /// because the coprocessor stayed full (PartitionWorker::SkipCycles).
+  void SkipCapRejects(uint64_t count) { fc_cap_rejects_.Add(count); }
 
   HashPipeline& hash_pipeline() { return *hash_; }
   SkiplistPipeline& skiplist_pipeline() { return *skiplist_; }
@@ -98,6 +104,8 @@ class IndexCoprocessor : public sim::Component {
   // (common/stats.h FastCounter).
   FastCounter fc_foreground_ops_{&counters_, "foreground_ops"};
   FastCounter fc_background_ops_{&counters_, "background_ops"};
+  // Bumped on every rejected Submit, once per cycle while a dispatch spins.
+  FastCounter fc_cap_rejects_{&counters_, "cap_rejects"};
 };
 
 }  // namespace bionicdb::index

@@ -75,8 +75,9 @@ struct TimingConfig {
   /// the simulator warps the clock by k and bulk-charges the skipped cycles
   /// to the same idle/stall buckets per-cycle ticking would have used.
   /// Cycle counts, engine results and stats are bit-identical in both
-  /// modes; off by default (cycle-by-cycle ticking).
-  bool event_driven = false;
+  /// modes. On by default; false ticks every block every cycle, the
+  /// reference the differential tests compare against.
+  bool event_driven = true;
 
   /// Converts a cycle count to seconds at the configured clock.
   double CyclesToSeconds(uint64_t cycles) const {

@@ -4,6 +4,14 @@
 
 namespace bionicdb::sim {
 
+// Adaptive wake polling (WarpBefore). A poll that finds nothing to skip
+// walks every block's hint for nothing, and on dense stretches nearly every
+// poll does. So each fruitless poll doubles the number of real ticks taken
+// before the next one (1, 2, 4, ...) up to kMaxPollGap; a poll that warps
+// resets the gap to zero (poll every cycle). The policy sees only poll
+// results, never host time, so warp counts repeat exactly from run to run.
+const uint64_t Simulator::kMaxPollGap = 8;
+
 Simulator::Simulator(const TimingConfig& config)
     : config_(config), dram_(config) {
   // Typical machine: fabric + a handful of workers + fault scheduler.
@@ -86,8 +94,21 @@ uint64_t Simulator::NextWakeCycle() const {
 }
 
 void Simulator::WarpBefore(uint64_t limit) {
-  uint64_t wake = std::min(NextWakeCycle(), limit);
-  if (wake <= now_ + 1) return;
+  // Skipping a poll only means ticking the next cycle for real, which is
+  // always exact: the back-off trades skip opportunities, never results.
+  if (poll_countdown_ > 0) {
+    --poll_countdown_;
+    return;
+  }
+  // Nothing can be skipped before the caller's last cycle: no poll.
+  if (limit <= now_ + 1) return;
+  const uint64_t wake = std::min(NextWakeCycle(), limit);
+  if (wake <= now_ + 1) {
+    poll_gap_ = std::min(std::max<uint64_t>(1, 2 * poll_gap_), kMaxPollGap);
+    poll_countdown_ = poll_gap_;
+    return;
+  }
+  poll_gap_ = 0;
   const uint64_t skip = wake - now_ - 1;
   // Bulk busy/idle sample: Idle() is constant across a quiescent span (no
   // block's externally visible state changes), so one post-skip probe

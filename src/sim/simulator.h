@@ -19,15 +19,19 @@ namespace bionicdb::sim {
 /// are used by running independent simulators side by side
 /// (host::RunSweep).
 ///
-///  * Per-cycle (default): each registered component ticks every cycle, in
-///    registration order, after DRAM delivers completions (so responses are
-///    visible to blocks in the same cycle).
+///  * Event-driven (TimingConfig::event_driven, the default): quiescent
+///    spans — stretches where every block's NextWakeCycle hint agrees
+///    nothing happens — are skipped in one jump instead of ticked cycle by
+///    cycle. Skipped cycles are bulk-charged through Component::SkipCycles
+///    so busy/idle sampling and all stall-attribution counters stay
+///    bit-identical. The hints are polled adaptively: after polls that
+///    found nothing to skip, the simulator ticks up to kMaxPollGap cycles
+///    for real before polling again (see WarpBefore).
 ///
-///  * Event-driven (TimingConfig::event_driven): quiescent spans — stretches
-///    where every block's NextWakeCycle hint agrees nothing happens — are
-///    skipped in one jump instead of ticked cycle by cycle. Skipped cycles
-///    are bulk-charged through Component::SkipCycles so busy/idle sampling
-///    and all stall-attribution counters stay bit-identical.
+///  * Per-cycle (event_driven = false): each registered component ticks
+///    every cycle, in registration order, after DRAM delivers completions
+///    (so responses are visible to blocks in the same cycle). Kept as the
+///    reference the differential suites compare event-driven runs against.
 class Simulator {
  public:
   explicit Simulator(const TimingConfig& config = TimingConfig());
@@ -47,9 +51,10 @@ class Simulator {
 
   /// Runs until `done()` returns true or `max_cycles` elapse.
   /// Returns true if `done` fired (false = cycle budget exhausted).
-  /// In event-driven mode `done` must be a function of component/DRAM
-  /// state, not of now(): it is evaluated once per real tick, and real
-  /// ticks are the only cycles where component state can change.
+  /// In event-driven mode (the default) `done` must be a function of
+  /// component/DRAM state, not of now(): it is evaluated once per real
+  /// tick, and real ticks are the only cycles where component state can
+  /// change. To stop at a cycle, use Step or the `max_cycles` budget.
   bool RunUntil(const std::function<bool()>& done,
                 uint64_t max_cycles = UINT64_MAX);
 
@@ -99,6 +104,10 @@ class Simulator {
   };
   const WarpStats& warp_stats() const { return warp_stats_; }
 
+  /// Most real ticks event-driven mode takes between two wake polls once
+  /// polls keep finding nothing to skip (value in simulator.cc).
+  static const uint64_t kMaxPollGap;
+
   /// Dumps simulator-level stats (clock, per-component busy/idle, DRAM
   /// channel utilisation) under `scope`.
   void CollectStats(StatsScope scope) const;
@@ -114,7 +123,8 @@ class Simulator {
   /// now_ + 1, advances the clock to just before min(wake, limit),
   /// bulk-charging the skipped cycles. `limit` is the last cycle the
   /// caller will still tick for real. Leaves now_ < limit so the caller's
-  /// next TickOnce lands exactly on the wake (or limit) cycle.
+  /// next TickOnce lands exactly on the wake (or limit) cycle. Polls only
+  /// when the back-off countdown has run out (see simulator.cc).
   void WarpBefore(uint64_t limit);
 
   /// Folds the sampling scratch accumulated since the last flush into
@@ -150,6 +160,10 @@ class Simulator {
   /// (see TickOnce; consumed by RunUntilIdle's loop).
   bool all_idle_after_tick_ = false;
   WarpStats warp_stats_;
+  /// Adaptive polling: the current back-off gap, and the real ticks left
+  /// before the next poll.
+  uint64_t poll_gap_ = 0;
+  uint64_t poll_countdown_ = 0;
   CounterSet counters_;
 };
 

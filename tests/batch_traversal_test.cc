@@ -93,7 +93,10 @@ class CoprocHarness {
 
   /// Runs `ops` to completion and returns per-cp_index results, with scan
   /// buffers resolved down to the referenced tuples' payload words so two
-  /// harnesses (whose heap addresses may differ) compare logically.
+  /// harnesses (whose heap addresses may differ) compare logically. The
+  /// simulator is event-driven (the default), so the predicate runs once
+  /// per real tick; that is exact because a capped Submit can only
+  /// succeed, and a result only appear, after a tick.
   std::map<uint32_t, OpResult> Run(std::vector<comm::Envelope> ops) {
     size_t next = 0;
     std::map<uint32_t, OpResult> out;

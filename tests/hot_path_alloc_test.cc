@@ -1,19 +1,21 @@
-// Steady-state heap-allocation audit for the serial simulation hot path.
+// Steady-state heap-allocation audit for the simulation hot path.
 //
 // The dense-activity speedup work (DESIGN.md section 15) replaced the hot
 // path's per-cycle heap traffic — std::vector keys, snapshot vectors,
 // std::deque FIFO block churn — with inline/arena/ring containers that
 // reach a warm high-water mark and then stop allocating. This test pins
 // that property down so it cannot silently regress: it overrides global
-// operator new/delete with counting wrappers, warms a serial engine on a
+// operator new/delete with counting wrappers, warms an engine on a
 // read-only YCSB burst, and then asserts that a steady-state simulation
 // window performs ZERO heap allocations — from the counted global
 // operators and from sim::HotAllocProbe (the arena/inline/ring heap
-// fallback tally) alike.
+// fallback tally) alike. The same window is audited twice: once on the
+// per-cycle loop, once in the default event-driven mode, whose wake polls
+// and warps must stay allocation-free too.
 //
-// The audit runs single-threaded by construction (serial simulator mode,
-// no driver threads), so the process-global counters attribute every
-// allocation to the simulation loop under test.
+// The audit runs single-threaded by construction (one host thread per
+// engine, no driver threads), so the process-global counters attribute
+// every allocation to the simulation loop under test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -67,10 +69,10 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace bionicdb {
 namespace {
 
-TEST(HotPathAlloc, SteadyStateWindowPerformsZeroHeapAllocations) {
+void AuditSteadyStateWindow(const sim::TimingConfig& timing) {
   core::EngineOptions opts;
   opts.n_workers = 2;
-  opts.timing.event_driven = false;  // audit the per-cycle loop
+  opts.timing = timing;
   core::BionicDb engine(opts);
 
   workload::YcsbOptions yopts;
@@ -99,11 +101,13 @@ TEST(HotPathAlloc, SteadyStateWindowPerformsZeroHeapAllocations) {
   const uint64_t committed_warm = engine.TotalCommitted();
   ASSERT_GT(committed_warm, 0u) << "warmup window committed nothing";
 
+  const uint64_t warps_before = engine.simulator().warp_stats().warps;
   const uint64_t heap_before = g_heap_allocs.load(std::memory_order_relaxed);
   const uint64_t probe_before = sim::HotAllocProbe::Count();
   if (std::getenv("BIONICDB_ALLOC_TRAP") != nullptr) g_trap.store(true);
   engine.Step(4'000);
   g_trap.store(false);
+  const uint64_t warps = engine.simulator().warp_stats().warps - warps_before;
   const uint64_t heap_delta =
       g_heap_allocs.load(std::memory_order_relaxed) - heap_before;
   const uint64_t probe_delta = sim::HotAllocProbe::Count() - probe_before;
@@ -115,12 +119,28 @@ TEST(HotPathAlloc, SteadyStateWindowPerformsZeroHeapAllocations) {
       << "measured window committed nothing — not a steady-state sample";
   EXPECT_LT(committed_after, opts.n_workers * kTxnsPerWorker)
       << "burst drained before the window closed — widen the burst";
+  // An event-driven window must have exercised the warp path.
+  if (timing.event_driven) {
+    EXPECT_GT(warps, 0u) << "event-driven window took no warp";
+  } else {
+    EXPECT_EQ(warps, 0u);
+  }
 
   EXPECT_EQ(heap_delta, 0u)
-      << "serial hot path heap-allocated during steady state";
+      << "hot path heap-allocated during steady state";
   EXPECT_EQ(probe_delta, 0u)
       << "arena/inline/ring containers spilled to the heap during steady "
          "state (HotAllocProbe)";
+}
+
+TEST(HotPathAlloc, SteadyStateWindowPerformsZeroHeapAllocations) {
+  sim::TimingConfig per_cycle;
+  per_cycle.event_driven = false;
+  AuditSteadyStateWindow(per_cycle);
+}
+
+TEST(HotPathAlloc, EventDrivenWindowPerformsZeroHeapAllocations) {
+  AuditSteadyStateWindow(sim::TimingConfig());  // the default mode
 }
 
 }  // namespace

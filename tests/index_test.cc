@@ -76,7 +76,10 @@ class IndexPipelineTest : public ::testing::Test {
     return comm::Envelope(h, o);
   }
 
-  /// Submits (retrying on cap) and runs until all results arrive.
+  /// Submits (retrying on cap) and runs until all results arrive. The
+  /// simulator is event-driven (the default), so the predicate runs once
+  /// per real tick; that is exact here because a capped Submit can only
+  /// succeed, and a result only appear, after a tick.
   std::vector<comm::Envelope> RunOps(std::vector<comm::Envelope> ops) {
     size_t next = 0;
     std::vector<comm::Envelope> results;

@@ -70,6 +70,9 @@ TEST_P(HashInsertSurvival, AllInsertsSurvive) {
     ops.push_back(comm::Envelope(h, op));
   }
   size_t next = 0, done = 0;
+  // Event-driven (the default): the predicate runs once per real tick,
+  // which is exact because a capped Submit can only succeed, and a result
+  // only appear, after a tick.
   ASSERT_TRUE(sim.RunUntil(
       [&] {
         while (next < ops.size() && coproc.Submit(ops[next])) ++next;
@@ -147,6 +150,7 @@ TEST_P(SkiplistIntegrity, InvariantsAfterConcurrentInserts) {
     ops.push_back(comm::Envelope(h, op));
   }
   size_t next = 0, done = 0;
+  // Exact in event-driven mode for the same reason as above.
   ASSERT_TRUE(sim.RunUntil(
       [&] {
         while (next < ops.size() && coproc.Submit(ops[next])) ++next;

@@ -2,10 +2,12 @@
 // 10): TimingConfig::event_driven must be invisible in everything except
 // wall-clock time. Mock-component tests pin the warp mechanics (clock
 // positions, tick counts, Step/RunUntil boundary semantics, busy/idle
-// attribution); the engine tests run real workloads — YCSB variants,
-// TPC-C, multisite on two and four partitions, seeded fault chaos — in
-// both modes and assert the final cycle count, commit/abort outcomes and
-// the complete engine stats JSON are bit-identical.
+// attribution, the adaptive poll back-off); the engine tests run real
+// workloads — YCSB variants, TPC-C, multisite on two and four partitions,
+// seeded fault chaos, a coprocessor held at its in-flight cap — in both
+// modes and assert the final cycle count, commit/abort outcomes and the
+// complete engine stats JSON are bit-identical. Event-driven is the
+// default mode, so every per-cycle reference asks for it explicitly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,8 +56,15 @@ sim::TimingConfig EventDriven() {
   return t;
 }
 
+/// The per-cycle reference every event-driven run is compared against.
+sim::TimingConfig PerCycle() {
+  sim::TimingConfig t;
+  t.event_driven = false;
+  return t;
+}
+
 TEST(SimWarp, StepCoversEveryCycleExactlyOnce) {
-  sim::Simulator base;  // cycle-by-cycle
+  sim::Simulator base(PerCycle());
   PulseComponent base_pulse(50);
   base.AddComponent(&base_pulse);
   base.Step(1000);
@@ -95,7 +104,7 @@ TEST(SimWarp, StepBoundaryNeverOvershoots) {
 TEST(SimWarp, RunUntilBudgetSemanticsMatch) {
   // done() never fires: both modes must exhaust the budget at the same
   // clock position and return false.
-  sim::Simulator base;
+  sim::Simulator base(PerCycle());
   PulseComponent base_pulse(64);
   base.AddComponent(&base_pulse);
   EXPECT_FALSE(base.RunUntil([] { return false; }, 500));
@@ -129,6 +138,54 @@ TEST(SimWarp, DefaultHintKeepsUnauditedComponentsCycleExact) {
   EXPECT_EQ(fast.warp_stats().warps, 0u);
 }
 
+/// Wants every cycle up to `dense_until`, then sleeps until `wake_at`.
+class BurstThenSleep : public sim::Component {
+ public:
+  BurstThenSleep(uint64_t dense_until, uint64_t wake_at)
+      : sim::Component("burst"), dense_until_(dense_until), wake_at_(wake_at) {}
+
+  void Tick(uint64_t now) override {
+    ++real_ticks_;
+    if (now > dense_until_ && now < wake_at_) ++ticks_asleep_;
+  }
+  bool Idle() const override { return false; }
+  uint64_t NextWakeCycle(uint64_t now) const override {
+    return now >= dense_until_ && now < wake_at_ ? wake_at_ : now + 1;
+  }
+  void SkipCycles(uint64_t now, uint64_t count) override {
+    (void)now;
+    skipped_ += count;
+  }
+
+  uint64_t dense_until_;
+  uint64_t wake_at_;
+  uint64_t real_ticks_ = 0;
+  uint64_t ticks_asleep_ = 0;
+  uint64_t skipped_ = 0;
+};
+
+TEST(SimWarp, PollBackoffStillSkipsAQuiescentSpan) {
+  // 1,000 cycles that each wake at now + 1 push the poll gap to its
+  // maximum; the 10,000-cycle quiescent span after them must still be
+  // found within one gap and skipped in one warp.
+  sim::Simulator::WarpStats warps[2];
+  for (sim::Simulator::WarpStats& w : warps) {
+    sim::Simulator fast(EventDriven());
+    BurstThenSleep burst(1'000, 11'000);
+    fast.AddComponent(&burst);
+    fast.Step(12'000);
+    EXPECT_EQ(fast.now(), 12'000u);
+    EXPECT_EQ(burst.real_ticks_ + burst.skipped_, 12'000u);
+    EXPECT_LE(burst.ticks_asleep_, sim::Simulator::kMaxPollGap);
+    EXPECT_GE(burst.skipped_, 10'000u - sim::Simulator::kMaxPollGap - 1);
+    w = fast.warp_stats();
+    EXPECT_EQ(w.warps, 1u);
+  }
+  // The policy sees only poll results, so it repeats exactly.
+  EXPECT_EQ(warps[0].warps, warps[1].warps);
+  EXPECT_EQ(warps[0].skipped_cycles, warps[1].skipped_cycles);
+}
+
 // --- Engine differential runs ------------------------------------------
 
 struct Outcome {
@@ -136,6 +193,7 @@ struct Outcome {
   uint64_t final_now = 0;
   std::string stats_json;
   uint64_t warps = 0;
+  uint64_t skipped_cycles = 0;
   uint32_t fault_digest = 0;
 };
 
@@ -164,6 +222,7 @@ Outcome Finish(core::BionicDb* engine, host::RunResult run) {
   engine->CollectStats(&reg);
   out.stats_json = reg.ToJson();
   out.warps = engine->simulator().warp_stats().warps;
+  out.skipped_cycles = engine->simulator().warp_stats().skipped_cycles;
   return out;
 }
 
@@ -274,6 +333,47 @@ Outcome RunDense(bool event_driven) {
 
 TEST(SimWarpEngine, DenseActivity) {
   ExpectIdentical(RunDense(false), RunDense(true));
+}
+
+/// A coprocessor held at its in-flight cap: two slots against sixteen
+/// reads per transaction and 4x DRAM latency, so the softcore spends most
+/// cycles retrying a dispatch the full coprocessor rejects. Those retries
+/// are quiescent until the coprocessor frees a slot.
+Outcome RunCapSaturated(bool event_driven) {
+  core::EngineOptions opts;
+  opts.n_workers = 2;
+  opts.coproc.max_inflight = 2;
+  opts.timing.dram_latency_cycles = 380;
+  opts.timing.event_driven = event_driven;
+  core::BionicDb engine(opts);
+  workload::YcsbOptions yopts = SmallYcsb(workload::YcsbOptions::Mode::kReadOnly);
+  yopts.accesses_per_txn = 16;
+  workload::Ycsb ycsb(&engine, yopts);
+  EXPECT_TRUE(ycsb.Setup().ok());
+  Rng rng(31);
+  host::TxnList txns;
+  for (uint32_t w = 0; w < opts.n_workers; ++w) {
+    for (uint64_t i = 0; i < 20; ++i) {
+      txns.emplace_back(w, ycsb.MakeTxn(&rng, w));
+    }
+  }
+  Outcome out = Finish(&engine, host::RunToCompletion(&engine, txns));
+  for (uint32_t w = 0; w < opts.n_workers; ++w) {
+    core::PartitionWorker& worker = engine.worker(w);
+    EXPECT_GT(worker.coprocessor().counters().Get("cap_rejects"), 0u);
+    EXPECT_GT(worker.softcore().counters().Get("dispatch_stall_cycles"), 0u);
+  }
+  return out;
+}
+
+TEST(SimWarpEngine, CapSaturatedDispatchSpins) {
+  const Outcome base = RunCapSaturated(false);
+  const Outcome event = RunCapSaturated(true);
+  // Includes coproc/cap_rejects, softcore/dispatch_stall_cycles and the
+  // backpressure bucket of every worker's cycle breakdown.
+  ExpectIdentical(base, event);
+  // The spins are skipped, not ticked.
+  EXPECT_GE(2 * event.skipped_cycles, event.final_now);
 }
 
 Outcome RunChaos(bool event_driven) {
