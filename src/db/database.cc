@@ -14,7 +14,7 @@ Status Database::CreateTable(const TableSchema& schema) {
   for (uint32_t p = 0; p < n_partitions_; ++p) {
     // Each partition's index structures allocate from that partition's
     // arena so its worker owns every byte it touches at run time.
-    sim::DramMemory::PartitionScope scope(p);
+    sim::DramMemory::PartitionScope scope(dram_, p);
     if (schema.index == IndexKind::kHash) {
       per_partition[p].hash =
           std::make_unique<HashTableLayout>(dram_, schema.hash_buckets);
@@ -53,7 +53,7 @@ Status Database::LoadOne(TableId table, PartitionId partition,
   if (schema == nullptr) return Status::NotFound("no such table");
   if (partition >= n_partitions_) return Status::OutOfRange("bad partition");
   // Tuples loaded into a partition's index come from that partition's arena.
-  sim::DramMemory::PartitionScope scope(partition);
+  sim::DramMemory::PartitionScope scope(dram_, partition);
   if (schema->index == IndexKind::kHash) {
     indexes_[table][partition].hash->Insert(key, key_len, payload,
                                             payload_len, write_ts);

@@ -18,10 +18,10 @@ HashTableLayout::HashTableLayout(sim::DramMemory* dram, uint32_t n_buckets)
   mask_ = n - 1;
   shift_ = 64;
   for (uint32_t v = n; v > 1; v >>= 1) --shift_;
+  // No zero-fill: Allocate never hands out an address twice and memory
+  // nobody wrote reads as zero, so every bucket of a fresh table already
+  // reads kNullAddr (an empty chain).
   bucket_base_ = dram_->Allocate(8ull * n);
-  for (uint32_t i = 0; i < n; ++i) {
-    dram_->Write64(bucket_base_ + 8ull * i, sim::kNullAddr);
-  }
 }
 
 uint64_t HashTableLayout::HashKey(const uint8_t* key, uint16_t key_len) {

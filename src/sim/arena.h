@@ -5,11 +5,7 @@
 // the steady-state cost was dominated not by the modelled hardware but by
 // simulator bookkeeping: per-op std::vector keys, per-response snapshot
 // vectors, and std::deque block churn on every FIFO the pipelines own.
-// This header provides the three replacements (DESIGN.md section 15):
-//
-//  * BumpArena — slab-chained bump allocator for transients whose lifetime
-//    is bounded by an explicit Reset (page slabs, per-run scratch). Slabs
-//    are retained across Reset, so a warmed arena never touches the heap.
+// This header provides the two replacements (DESIGN.md section 15):
 //
 //  * InlineVec<T, N> — vector with N elements of inline storage; the
 //    common small case (snapshot reads, index keys) never allocates and
@@ -21,10 +17,11 @@
 //    shrinks, so steady-state traffic recirculates one warm allocation
 //    instead of churning deque blocks.
 //
-// Every heap fallback any of these take funnels through HotAllocProbe, a
-// process-wide counter the allocation-audit test (and assert-heavy debug
-// runs) read to prove the steady-state serial hot path performs zero heap
-// allocations per cycle once warm.
+// Every heap fallback of either container, and every chunk the DRAM page
+// store maps (sim/memory.h), funnels through HotAllocProbe, a process-wide
+// counter the allocation-audit test (and assert-heavy debug runs) read to
+// prove the steady-state serial hot path performs zero heap allocations
+// per cycle once warm.
 #ifndef BIONICDB_SIM_ARENA_H_
 #define BIONICDB_SIM_ARENA_H_
 
@@ -40,12 +37,13 @@
 namespace bionicdb::sim {
 
 /// Process-wide tally of heap fallbacks taken by the hot-path containers
-/// in this header. Relaxed atomics: the counter is a diagnostic (read at
-/// steady state by the allocation audit), never a synchronisation point.
+/// in this header and of DRAM page-store mappings. Relaxed atomics: the
+/// counter is a diagnostic (read at steady state by the allocation audit),
+/// never a synchronisation point.
 class HotAllocProbe {
  public:
-  /// Heap allocations (arena slabs, inline-vec spills, ring growth) taken
-  /// since process start.
+  /// Allocations (page-store chunk mappings, inline-vec spills, ring
+  /// growth) taken since process start.
   static uint64_t Count() {
     return count_.load(std::memory_order_relaxed);
   }
@@ -53,62 +51,6 @@ class HotAllocProbe {
 
  private:
   static inline std::atomic<uint64_t> count_{0};
-};
-
-/// Slab-chained bump allocator. Alloc is a pointer bump; Reset rewinds to
-/// the first slab but keeps every slab allocated, so arenas reach a warm
-/// high-water mark and then stop touching the heap. Not thread-safe; each
-/// partition/component owns its own.
-class BumpArena {
- public:
-  explicit BumpArena(size_t slab_bytes = 1 << 20)
-      : slab_bytes_(slab_bytes) {}
-
-  /// Returns `size` bytes aligned to `align` (power of two). Requests
-  /// larger than the slab size get a dedicated slab.
-  void* Alloc(size_t size, size_t align = 8) {
-    assert(align != 0 && (align & (align - 1)) == 0);
-    for (;;) {
-      if (cur_ < slabs_.size()) {
-        Slab& s = slabs_[cur_];
-        size_t off = (s.used + align - 1) & ~(align - 1);
-        if (off + size <= s.bytes.size()) {
-          s.used = off + size;
-          return s.bytes.data() + off;
-        }
-        ++cur_;
-        continue;
-      }
-      HotAllocProbe::Record();
-      Slab s;
-      s.bytes.resize(size > slab_bytes_ ? size : slab_bytes_);
-      slabs_.push_back(std::move(s));
-    }
-  }
-
-  /// Rewinds the arena; every slab is kept for reuse.
-  void Reset() {
-    for (Slab& s : slabs_) s.used = 0;
-    cur_ = 0;
-  }
-
-  /// Bytes currently handed out (since the last Reset).
-  size_t used_bytes() const {
-    size_t total = 0;
-    for (const Slab& s : slabs_) total += s.used;
-    return total;
-  }
-  size_t slab_count() const { return slabs_.size(); }
-
- private:
-  struct Slab {
-    std::vector<uint8_t> bytes;
-    size_t used = 0;
-  };
-
-  size_t slab_bytes_;
-  std::vector<Slab> slabs_;
-  size_t cur_ = 0;
 };
 
 /// Small vector with N elements of inline storage, restricted to trivially

@@ -1,27 +1,61 @@
 #include "sim/memory.h"
 
-#include <atomic>
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cassert>
-#include <mutex>
+#include <new>
 
 namespace bionicdb::sim {
 
 namespace {
 
-std::atomic<uint64_t> next_memory_generation{1};
+/// Transparent huge page size on x86-64 and arm64 (4 KiB base pages).
+constexpr uint64_t kHugePageBytes = 2ull << 20;
+/// One PageStore mapping: 16 huge pages, 512 simulated pages. Untouched
+/// huge pages of a chunk cost address space only, so a small database
+/// pays for the huge pages it touches, not for the chunk.
+constexpr uint64_t kChunkBytes = 16 * kHugePageBytes;
 
 }  // namespace
 
-thread_local uint32_t DramMemory::tls_partition_ = DramMemory::kHostPartition;
-thread_local DramMemory::PageCacheEntry
-    DramMemory::tls_page_cache_[DramMemory::kPageCacheSlots];
+DramMemory::PageStore::~PageStore() {
+  for (uint8_t* chunk : chunks_) munmap(chunk, kChunkBytes);
+}
 
-DramMemory::DramMemory(const TimingConfig& config)
-    : config_(config),
-      generation_(next_memory_generation.fetch_add(1,
-                                                   std::memory_order_relaxed)) {
+uint8_t* DramMemory::PageStore::NewPage() {
+  if (next_ == end_) {
+    // Over-map by one huge page and trim both ends, so the chunk starts on
+    // a 2 MiB boundary and every 2 MiB of it can be one huge page.
+    void* raw = mmap(nullptr, kChunkBytes + kHugePageBytes,
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                     0);
+    if (raw == MAP_FAILED) throw std::bad_alloc();
+    const uint64_t misalign =
+        reinterpret_cast<uintptr_t>(raw) & (kHugePageBytes - 1);
+    const uint64_t lead = misalign == 0 ? 0 : kHugePageBytes - misalign;
+    uint8_t* chunk = static_cast<uint8_t*>(raw) + lead;
+    if (lead > 0) munmap(raw, lead);
+    munmap(chunk + kChunkBytes, kHugePageBytes - lead);
+#ifdef MADV_HUGEPAGE
+    // Advice only: with transparent huge pages off the chunk keeps 4 KiB
+    // pages and everything else works the same.
+    madvise(chunk, kChunkBytes, MADV_HUGEPAGE);
+#endif
+    HotAllocProbe::Record();
+    chunks_.push_back(chunk);
+    next_ = chunk;
+    end_ = chunk + kChunkBytes;
+  }
+  uint8_t* page = next_;
+  next_ += kPageSize;
+  return page;
+}
+
+DramMemory::DramMemory(const TimingConfig& config) : config_(config) {
   assert(config.dram_channels > 0);
   arenas_.resize(1);
+  page_tables_.resize(1);
   lanes_.resize(1);
   lanes_[0].channels.resize(config.dram_channels);
 }
@@ -34,6 +68,7 @@ void DramMemory::ConfigurePartitions(uint32_t n) {
   assert(lanes_[0].in_flight == 0 && lanes_[0].seq == 0);
   partitioned_ = true;
   arenas_.resize(size_t(n) + 1);
+  page_tables_.resize(size_t(n) + 1);
   for (uint32_t p = 0; p < n; ++p) {
     Addr base = (Addr(p) + 1) << kArenaShift;
     arenas_[p + 1].base = base;
@@ -49,33 +84,39 @@ Addr DramMemory::Allocate(uint64_t size, uint64_t align) {
   arena.next_free = (arena.next_free + align - 1) & ~(align - 1);
   Addr out = arena.next_free;
   arena.next_free += size;
+  // Extend the arena's page table over everything handed out so far. An
+  // arena's index is its slot (base >> kArenaShift), and arena 0's slot
+  // starts at address 0, below its base.
+  std::vector<uint8_t*>& table = page_tables_[arena.base >> kArenaShift];
+  const uint64_t span = arena.next_free - (arena.base & ~kArenaMask);
+  const uint64_t pages =
+      std::min((span + kPageSize - 1) >> kPageBits, kPagesPerArena);
+  if (pages > table.size()) table.resize(pages, nullptr);
   return out;
 }
 
-uint8_t* DramMemory::PageFor(Addr addr) {
-  // Page-cache miss path: PagePtr (inline, memory.h) already rejected the
-  // thread-local cache entry for this page.
-  uint64_t page = addr >> kPageBits;
+uint8_t* DramMemory::PageFor(Addr addr) const {
+  // Miss path of PagePtr: the page is untouched, or its address lies
+  // outside every table (or was first touched there).
+  const uint64_t page = addr >> kPageBits;
   uint8_t* ptr = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> read_lock(pages_mu_);
-    auto it = pages_.find(page);
-    if (it != pages_.end()) ptr = it->second;
-  }
-  if (ptr == nullptr) {
-    std::unique_lock<std::shared_mutex> write_lock(pages_mu_);
-    // Another thread may have materialised the page between the locks;
-    // only the first emplace allocates. Arena slabs are zero-initialised
-    // and never reset, so fresh pages read as zeros, matching real DRAM.
-    auto [it, inserted] = pages_.emplace(page, nullptr);
-    if (inserted) {
-      it->second =
-          static_cast<uint8_t*>(page_arena_.Alloc(kPageSize, /*align=*/64));
+  const auto wild = wild_pages_.find(page);
+  if (wild != wild_pages_.end()) ptr = wild->second;
+  const uint64_t slot = addr >> kArenaShift;
+  const uint64_t idx = (addr & kArenaMask) >> kPageBits;
+  if (slot < page_tables_.size() && idx < page_tables_[slot].size()) {
+    // A page touched before Allocate covered it moves into the table with
+    // its storage, so its bytes (and any span into it) stay put.
+    if (ptr != nullptr) {
+      wild_pages_.erase(wild);
+    } else {
+      ptr = store_.NewPage();
     }
-    ptr = it->second;
+    page_tables_[slot][idx] = ptr;
+  } else if (ptr == nullptr) {
+    ptr = store_.NewPage();
+    wild_pages_.emplace(page, ptr);
   }
-  tls_page_cache_[page % kPageCacheSlots] =
-      PageCacheEntry{generation_, page, ptr};
   return ptr;
 }
 
@@ -169,6 +210,7 @@ bool DramMemory::Issue(uint64_t now, Addr addr, bool is_write,
   if (AdmitRequest(&lane, now, addr, is_write, &start) == nullptr) {
     return false;
   }
+  if (!is_write) PrefetchLine(addr);
   uint64_t complete_at = start + config_.dram_latency_cycles;
   lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie, is_write,
                             /*apply_write=*/false, /*write_value=*/0,
@@ -185,6 +227,7 @@ bool DramMemory::IssueRowHit(uint64_t now, Addr addr, bool is_write,
   if (AdmitRequest(&lane, now, addr, is_write, &start) == nullptr) {
     return false;
   }
+  if (!is_write) PrefetchLine(addr);
   uint64_t complete_at = start + config_.dram_row_hit_latency_cycles;
   lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie, is_write,
                             /*apply_write=*/false, /*write_value=*/0,

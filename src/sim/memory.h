@@ -21,18 +21,23 @@
 // every partition worker a private slice of the address space (an "arena")
 // and a private copy of the channel array (a "lane", the per-worker memory
 // channels of Fig. 1b). A worker reaches a foreign arena only through the
-// message fabric. Which arena/lane an access uses is carried in a
-// thread-local partition context (PartitionScope) so none of the
-// allocation or issue call sites change signature. With one partition (or
-// when never configured) the layout is bit-identical to the original
-// single-arena, single-lane model.
+// message fabric. Which arena/lane an access uses is the memory's partition
+// context, a plain member that the simulator sets per component and
+// PartitionScope sets around bulk loading, so none of the allocation or
+// issue call sites change signature. With one partition (or when never
+// configured) the layout is bit-identical to the original single-arena,
+// single-lane model.
+//
+// Host storage (DESIGN.md section 15.5) never changes a modelled result:
+// each arena has a flat page table over the span its allocator handed out,
+// pages live in huge-page-advised anonymous mappings, and a timed read
+// prefetches its host line at issue so the completion finds it in cache.
 #ifndef BIONICDB_SIM_MEMORY_H_
 #define BIONICDB_SIM_MEMORY_H_
 
 #include <cstdint>
 #include <cstring>
 #include <queue>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -105,8 +110,8 @@ class DramFaultHook {
 
 class DramMemory {
  public:
-  /// Thread-local partition context value meaning "the host" — allocations
-  /// go to the shared arena 0, timed accesses to lane 0.
+  /// Partition context value meaning "the host" — allocations go to the
+  /// shared arena 0, timed accesses to lane 0.
   static constexpr uint32_t kHostPartition = UINT32_MAX;
   /// Lane::next_ready sentinel: no request in flight on the lane.
   static constexpr uint64_t kNeverReady = UINT64_MAX;
@@ -120,33 +125,31 @@ class DramMemory {
   void ConfigurePartitions(uint32_t n);
   bool partitioned() const { return partitioned_; }
 
-  /// RAII thread-local partition context: while in scope, Allocate targets
-  /// the partition's arena and Issue/IssueWrite64 its lane. The simulator
-  /// ticks partition components in one; the database wraps bulk loading
-  /// (which must place each partition's tuples in that partition's arena).
-  /// Nesting restores the previous context. Cheap enough for per-tick use.
+  /// RAII partition context on one memory: while in scope, `dram`'s
+  /// Allocate targets the partition's arena and its Issue/IssueRowHit/
+  /// IssueWrite64 the partition's lane. The database wraps bulk loading in
+  /// one (each partition's tuples belong in that partition's arena).
+  /// Nesting restores the previous context; other memories are unaffected.
   class PartitionScope {
    public:
-    explicit PartitionScope(uint32_t partition)
-        : saved_(tls_partition_) {
-      tls_partition_ = partition;
+    PartitionScope(DramMemory* dram, uint32_t partition)
+        : dram_(dram), saved_(dram->partition_) {
+      dram->partition_ = partition;
     }
-    ~PartitionScope() { tls_partition_ = saved_; }
+    ~PartitionScope() { dram_->partition_ = saved_; }
     PartitionScope(const PartitionScope&) = delete;
     PartitionScope& operator=(const PartitionScope&) = delete;
 
    private:
+    DramMemory* dram_;
     uint32_t saved_;
   };
 
-  /// Raw thread-local partition context (what PartitionScope saves and
-  /// restores). The simulator's per-cycle component loop uses these
-  /// directly so one save/restore pair brackets the whole loop instead of
-  /// constructing a scope per component per cycle.
-  static uint32_t PartitionContext() { return tls_partition_; }
-  static void SetPartitionContext(uint32_t partition) {
-    tls_partition_ = partition;
-  }
+  /// Raw partition context (what PartitionScope saves and restores). The
+  /// simulator's component loop sets it per component, with one
+  /// save/restore pair around the whole loop.
+  uint32_t PartitionContext() const { return partition_; }
+  void SetPartitionContext(uint32_t partition) { partition_ = partition; }
 
   /// Arena index owning `addr` (0 = host/shared, r+1 = partition r).
   uint32_t ArenaOf(Addr addr) const {
@@ -173,7 +176,8 @@ class DramMemory {
   // --- Functional interface -------------------------------------------
 
   /// Allocates `size` bytes (aligned to `align`) from the current
-  /// partition context's arena bump allocator.
+  /// partition context's arena bump allocator. No address is handed out
+  /// twice, and bytes nobody has written read as zero.
   Addr Allocate(uint64_t size, uint64_t align = 8);
 
   /// Raw byte accessors. Accessing unallocated space is allowed (pages are
@@ -181,9 +185,9 @@ class DramMemory {
   void WriteBytes(Addr addr, const void* src, uint64_t len);
   void ReadBytes(Addr addr, void* dst, uint64_t len) const;
 
-  // Fixed-width accessors, inline with a single-page fast path: a hit in
-  // the thread-local page cache resolves to one memcpy with no function
-  // call. Accesses straddling a 64 KiB page boundary (and cache misses)
+  // Fixed-width accessors, inline with a single-page fast path: a page
+  // already in its arena's table resolves to one memcpy with no function
+  // call. Accesses straddling a 64 KiB page boundary (and first touches)
   // take the out-of-line path.
   uint64_t Read64(Addr addr) const {
     const uint64_t off = addr & (kPageSize - 1);
@@ -376,6 +380,9 @@ class DramMemory {
   /// a bump allocator never crosses, so the arena of an address is its top
   /// bits — no lookup table.
   static constexpr uint64_t kArenaShift = 40;
+  static constexpr uint64_t kArenaMask = (1ull << kArenaShift) - 1;
+  /// Most entries one arena's page table can have (its 1 TiB slice).
+  static constexpr uint64_t kPagesPerArena = 1ull << (kArenaShift - kPageBits);
 
   struct Pending {
     uint64_t complete_at;
@@ -442,12 +449,12 @@ class DramMemory {
   void DrainLane(uint32_t lane, uint64_t now);
 
   Lane& CurrentLane() {
-    if (!partitioned_ || tls_partition_ == kHostPartition) return lanes_[0];
-    return lanes_[tls_partition_ < lanes_.size() ? tls_partition_ : 0];
+    if (!partitioned_ || partition_ == kHostPartition) return lanes_[0];
+    return lanes_[partition_ < lanes_.size() ? partition_ : 0];
   }
   Arena& CurrentArena() {
-    if (!partitioned_ || tls_partition_ == kHostPartition) return arenas_[0];
-    uint32_t idx = tls_partition_ + 1;
+    if (!partitioned_ || partition_ == kHostPartition) return arenas_[0];
+    uint32_t idx = partition_ + 1;
     return arenas_[idx < arenas_.size() ? idx : 0];
   }
 
@@ -457,45 +464,74 @@ class DramMemory {
     return total;
   }
 
-  /// Small direct-mapped thread-local cache in front of the shared page
-  /// table, so the hot functional read/write path takes the shared_mutex
-  /// only on a miss. Entries are tagged with the owning DramMemory's
-  /// generation; pages are never freed while the owner lives, so a hit is
-  /// always valid.
-  struct PageCacheEntry {
-    uint64_t owner_gen = 0;
-    uint64_t page = 0;
-    uint8_t* ptr = nullptr;
-  };
-  static constexpr size_t kPageCacheSlots = 8;
+  /// Host storage for simulated pages: kPageSize blocks bump-allocated,
+  /// in creation order, from kChunkBytes anonymous mappings that are
+  /// 2 MiB-aligned and advised for transparent huge pages. The kernel
+  /// zero-fills a mapping on first touch, so a fresh page reads as zero
+  /// without a memset. Pages live until the store is destroyed, which
+  /// unmaps every chunk.
+  class PageStore {
+   public:
+    PageStore() = default;
+    ~PageStore();
+    PageStore(const PageStore&) = delete;
+    PageStore& operator=(const PageStore&) = delete;
 
-  /// Resolves `addr`'s page: inline on a page-cache hit, out-of-line
-  /// (PageFor) on a miss. Const because reads of never-written pages
-  /// materialise them lazily as zero-filled, matching real DRAM.
-  uint8_t* PagePtr(Addr addr) const {
-    const uint64_t page = addr >> kPageBits;
-    const PageCacheEntry& slot = tls_page_cache_[page % kPageCacheSlots];
-    if (slot.owner_gen == generation_ && slot.page == page) return slot.ptr;
-    return const_cast<DramMemory*>(this)->PageFor(addr);
+    /// A fresh zero-filled page; maps a new chunk (counted through
+    /// HotAllocProbe) when the current one is used up.
+    uint8_t* NewPage();
+
+   private:
+    std::vector<uint8_t*> chunks_;
+    uint8_t* next_ = nullptr;
+    uint8_t* end_ = nullptr;
+  };
+
+  /// `addr`'s page if its arena's table holds it, else nullptr (never
+  /// creates a page). A hit is three dependent loads: no hashing, no lock.
+  uint8_t* TablePage(Addr addr) const {
+    const uint64_t slot = addr >> kArenaShift;
+    if (slot >= page_tables_.size()) return nullptr;
+    const std::vector<uint8_t*>& table = page_tables_[slot];
+    const uint64_t idx = (addr & kArenaMask) >> kPageBits;
+    return idx < table.size() ? table[idx] : nullptr;
   }
 
-  uint8_t* PageFor(Addr addr);
+  /// Resolves `addr`'s page: inline on a table hit, out-of-line (PageFor)
+  /// otherwise. Const because reads of never-written pages materialise
+  /// them lazily as zero-filled, matching real DRAM.
+  uint8_t* PagePtr(Addr addr) const {
+    uint8_t* page = TablePage(addr);
+    return page != nullptr ? page : PageFor(addr);
+  }
+
+  /// Starts loading the host cache line at `addr` if its page exists. A
+  /// timed read's completion snapshots that line and its requester then
+  /// compares keys in it, ~dram_latency_cycles later; the hint never
+  /// creates a page or changes a byte.
+  void PrefetchLine(Addr addr) const {
+    if (const uint8_t* page = TablePage(addr)) {
+      __builtin_prefetch(page + (addr & (kPageSize - 1)));
+    }
+  }
+
+  uint8_t* PageFor(Addr addr) const;
   uint32_t ChannelOf(Addr addr) const;
 
-  static thread_local uint32_t tls_partition_;
-  static thread_local PageCacheEntry tls_page_cache_[kPageCacheSlots];
-
   TimingConfig config_;
-  /// Unique per-instance id tagging thread-local page-cache entries so a
-  /// cache never serves pages of a destroyed (or different) DramMemory.
-  const uint64_t generation_;
-  // The page table holds every arena's pages. Pages are never freed, so a
-  // pointer obtained under the lock stays valid forever. Page storage
-  // comes from a bump arena (16 pages per slab) under the same lock, so
-  // materialising a page is a pointer bump instead of a heap allocation.
-  mutable std::shared_mutex pages_mu_;
-  mutable std::unordered_map<uint64_t, uint8_t*> pages_;
-  mutable BumpArena page_arena_{16 << kPageBits};
+  /// Partition context (see PartitionScope); kHostPartition outside any.
+  uint32_t partition_ = kHostPartition;
+  // The page directory. Table `s` covers address slot s (addr >>
+  // kArenaShift, the arena index) and is indexed by page number inside the
+  // slot; Allocate grows it over the arena's allocated span, and an entry
+  // stays null until the page is first touched. Pages first touched
+  // outside every table (wild addresses, or ahead of the allocator) live
+  // in wild_pages_, keyed by full page number; PageFor moves one into a
+  // table that has grown over it.
+  // Mutable: reads of untouched memory create its page.
+  mutable std::vector<std::vector<uint8_t*>> page_tables_;
+  mutable std::unordered_map<uint64_t, uint8_t*> wild_pages_;
+  mutable PageStore store_;
 
   bool partitioned_ = false;
   std::vector<Arena> arenas_;

@@ -47,14 +47,13 @@ void Simulator::TickOnce() {
   const uint32_t* partition = partition_of_.data();
   uint64_t* busy = scratch_busy_.data();
   const size_t n = components_.size();
-  // One partition-context save/restore brackets the whole loop: each
-  // component ticks under its partition (so DRAM arena/lane routing follows
-  // the component), without a PartitionScope construct/destruct per
-  // component per cycle.
-  const uint32_t saved = DramMemory::PartitionContext();
+  // One save/restore of the DRAM's partition context brackets the whole
+  // loop: each component ticks under its partition, so arena/lane routing
+  // follows the component.
+  const uint32_t saved = dram_.PartitionContext();
   bool any_busy = false;
   for (size_t i = 0; i < n; ++i) {
-    DramMemory::SetPartitionContext(partition[i]);
+    dram_.SetPartitionContext(partition[i]);
     comps[i]->Tick(now);
     // Post-tick sample: a component with outstanding work this cycle is
     // charged as busy, otherwise idle (idle = ticks - busy, on flush).
@@ -62,7 +61,7 @@ void Simulator::TickOnce() {
     busy[i] += b ? 1 : 0;
     any_busy |= b;
   }
-  DramMemory::SetPartitionContext(saved);
+  dram_.SetPartitionContext(saved);
   // Cached quiescence for RunUntilIdle. The per-component samples above are
   // taken mid-loop, so a later tick can make an earlier component busy
   // again (a sender putting a packet on the already-ticked fabric's wire) —

@@ -104,6 +104,31 @@ TEST(HashLayout, NewestDuplicateShadowsOlder) {
   EXPECT_EQ(got, 200u);  // prepend: newest first
 }
 
+TEST(HashLayout, FreshTableReadsEveryBucketAsNull) {
+  // The constructor writes no bucket: a new table relies on Allocate never
+  // reusing an address and on unwritten memory reading zero, even after
+  // another table has filled the memory allocated before it.
+  sim::DramMemory dram(Cfg());
+  HashTableLayout older(&dram, 64);
+  for (uint64_t k = 0; k < 200; ++k) {
+    uint8_t kb[8];
+    EncodeKeyU64(k, kb);
+    older.Insert(kb, 8, nullptr, 0, 1);
+  }
+  HashTableLayout fresh(&dram, 1 << 12);
+  int visited = 0;
+  fresh.ForEach([&](TupleAccessor) {
+    ++visited;
+    return true;
+  });
+  EXPECT_EQ(visited, 0);
+  for (uint64_t k = 0; k < 200; ++k) {
+    uint8_t kb[8];
+    EncodeKeyU64(k, kb);
+    EXPECT_EQ(fresh.Find(kb, 8), sim::kNullAddr) << k;
+  }
+}
+
 TEST(HashLayout, ForEachVisitsAll) {
   sim::DramMemory dram(Cfg());
   HashTableLayout table(&dram, 8);

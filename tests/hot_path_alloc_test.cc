@@ -2,14 +2,14 @@
 //
 // The dense-activity speedup work (DESIGN.md section 15) replaced the hot
 // path's per-cycle heap traffic — std::vector keys, snapshot vectors,
-// std::deque FIFO block churn — with inline/arena/ring containers that
-// reach a warm high-water mark and then stop allocating. This test pins
+// std::deque FIFO block churn — with inline/ring containers that reach a
+// warm high-water mark and then stop allocating. This test pins
 // that property down so it cannot silently regress: it overrides global
 // operator new/delete with counting wrappers, warms an engine on a
 // read-only YCSB burst, and then asserts that a steady-state simulation
 // window performs ZERO heap allocations — from the counted global
-// operators and from sim::HotAllocProbe (the arena/inline/ring heap
-// fallback tally) alike. The same window is audited twice: once on the
+// operators and from sim::HotAllocProbe (the inline/ring heap fallback
+// and DRAM page-store mapping tally) alike. The same window is audited twice: once on the
 // per-cycle loop, once in the default event-driven mode, whose wake polls
 // and warps must stay allocation-free too.
 //
@@ -95,8 +95,8 @@ void AuditSteadyStateWindow(const sim::TimingConfig& timing) {
     }
   }
 
-  // Warmup: queues reach occupancy, arenas and rings hit their high-water
-  // marks, every hot stats slot is bound.
+  // Warmup: queues and rings reach their high-water marks, every hot
+  // stats slot is bound.
   engine.Step(6'000);
   const uint64_t committed_warm = engine.TotalCommitted();
   ASSERT_GT(committed_warm, 0u) << "warmup window committed nothing";
@@ -129,8 +129,8 @@ void AuditSteadyStateWindow(const sim::TimingConfig& timing) {
   EXPECT_EQ(heap_delta, 0u)
       << "hot path heap-allocated during steady state";
   EXPECT_EQ(probe_delta, 0u)
-      << "arena/inline/ring containers spilled to the heap during steady "
-         "state (HotAllocProbe)";
+      << "inline/ring containers spilled to the heap, or the DRAM page "
+         "store mapped a chunk, during steady state (HotAllocProbe)";
 }
 
 TEST(HotPathAlloc, SteadyStateWindowPerformsZeroHeapAllocations) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/component.h"
 #include "sim/memory.h"
 #include "sim/simulator.h"
@@ -51,6 +53,131 @@ TEST(DramFunctional, AllocatorAlignsAndAdvances) {
   EXPECT_EQ(a % 8, 0u);
   EXPECT_EQ(b % 64, 0u);
   EXPECT_GE(b, a + 10);
+}
+
+constexpr uint64_t kPage = 1ull << 16;  // DramMemory's page size
+
+TEST(DramPageStore, MemoriesNeverSeeEachOthersBytes) {
+  auto first = std::make_unique<DramMemory>(Config());
+  DramMemory second(Config());
+  const Addr a = first->Allocate(64);
+  ASSERT_EQ(second.Allocate(64), a);
+  first->Write64(a, 0x1111);
+  second.Write64(a, 0x2222);
+  EXPECT_EQ(first->Read64(a), 0x1111u);
+  EXPECT_EQ(second.Read64(a), 0x2222u);
+  // A memory built where a destroyed one lived starts from zeroes.
+  first.reset();
+  first = std::make_unique<DramMemory>(Config());
+  ASSERT_EQ(first->Allocate(64), a);
+  EXPECT_EQ(first->Read64(a), 0u);
+  first->Write64(a, 0x3333);
+  EXPECT_EQ(second.Read64(a), 0x2222u);
+}
+
+TEST(DramPageStore, WildAddressesGetTheirOwnZeroedPages) {
+  constexpr uint32_t kParts = 3;
+  DramMemory parted(Config());
+  parted.ConfigurePartitions(kParts);
+  DramMemory flat(Config());
+  struct Case {
+    DramMemory* dram;
+    Addr addr;
+  };
+  // Past every partition arena (arenas 0..kParts), the top of the address
+  // space, and the first address past an unpartitioned memory's arena.
+  const Case cases[] = {{&parted, Addr(kParts + 2) << 40},
+                        {&parted, ~0ull - 7},
+                        {&flat, ~0ull - 7},
+                        {&flat, 1ull << 40}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.addr);
+    c.dram->Allocate(64);  // the host arena's table exists
+    const Addr low = c.addr & ((1ull << 40) - 1);  // same low 40 bits
+    EXPECT_EQ(c.dram->Read64(c.addr), 0u);
+    c.dram->Write64(c.addr, 0xabcdef);
+    EXPECT_EQ(c.dram->Read64(c.addr), 0xabcdefu);
+    EXPECT_EQ(c.dram->Read64(low), 0u);
+    c.dram->Write64(low, 7);
+    EXPECT_EQ(c.dram->Read64(c.addr), 0xabcdefu);
+  }
+}
+
+TEST(DramPageStore, PageTouchedAheadOfTheAllocatorKeepsItsBytes) {
+  DramMemory dram(Config());
+  const Addr ahead = 5 * kPage + 8;  // past the allocator's frontier
+  dram.Write64(ahead, 99);
+  const Addr a = dram.Allocate(8 * kPage);
+  ASSERT_LE(a, ahead);
+  EXPECT_EQ(dram.Read64(ahead), 99u);
+  dram.Write64(ahead + 8, 100);
+  EXPECT_EQ(dram.Read64(ahead), 99u);
+  EXPECT_EQ(dram.Read64(ahead + 8), 100u);
+}
+
+TEST(DramPageStore, PartitionArenasKeepSeparatePages) {
+  DramMemory dram(Config());
+  dram.ConfigurePartitions(2);
+  Addr in_p0 = kNullAddr;
+  Addr in_p1 = kNullAddr;
+  {
+    DramMemory::PartitionScope scope(&dram, 0);
+    in_p0 = dram.Allocate(3 * kPage);
+  }
+  {
+    DramMemory::PartitionScope scope(&dram, 1);
+    in_p1 = dram.Allocate(3 * kPage);
+  }
+  const Addr offset_mask = (1ull << 40) - 1;
+  ASSERT_NE(in_p0, in_p1);
+  ASSERT_EQ(in_p0 & offset_mask, in_p1 & offset_mask);
+  dram.Write64(in_p0, 1);
+  dram.Write64(in_p1, 2);
+  EXPECT_EQ(dram.Read64(in_p0), 1u);
+  EXPECT_EQ(dram.Read64(in_p1), 2u);
+  // Straddle the 64 KiB page boundary inside partition 1's block.
+  const Addr cross = (in_p1 & ~(kPage - 1)) + kPage - 17;
+  std::vector<uint8_t> src(64);
+  for (size_t i = 0; i < src.size(); ++i) src[i] = uint8_t(i + 1);
+  dram.WriteBytes(cross, src.data(), src.size());
+  std::vector<uint8_t> dst(64);
+  dram.ReadBytes(cross, dst.data(), dst.size());
+  EXPECT_EQ(src, dst);
+  EXPECT_EQ(dram.Read64(in_p0), 1u);
+}
+
+TEST(DramPageStore, PartitionScopeRoutesOnlyItsOwnMemory) {
+  TimingConfig cfg = Config();
+  cfg.dram_channels = 1;
+  cfg.dram_channel_queue_depth = 1;
+  DramMemory a(cfg);
+  DramMemory b(cfg);
+  a.ConfigurePartitions(2);
+  b.ConfigurePartitions(2);
+  MemResponseQueue sink;
+  ASSERT_TRUE(b.Issue(0, 0x1000, false, &sink, 0));  // fills b's host lane
+  DramMemory::PartitionScope scope(&a, 1);
+  // b stays in its host context: host arena, and the full host lane.
+  EXPECT_LT(b.Allocate(8), 1ull << 40);
+  EXPECT_FALSE(b.Issue(0, 0x1008, false, &sink, 1));
+  EXPECT_GE(a.Allocate(8), 2ull << 40);  // partition 1's arena
+}
+
+TEST(DramPageStore, EveryChunkMappingIsCounted) {
+  DramMemory dram(Config());
+  constexpr uint64_t kMaxPages = 1024;  // 64 MiB, well past one chunk
+  const Addr base = dram.Allocate(kMaxPages * kPage);
+  const uint64_t before = HotAllocProbe::Count();
+  dram.Write8(base, 1);  // the first page maps the first chunk
+  const uint64_t first = HotAllocProbe::Count();
+  EXPECT_EQ(first, before + 1);
+  uint64_t pages = 1;
+  while (HotAllocProbe::Count() == first && pages < kMaxPages) {
+    dram.Write8(base + kPage * pages++, 1);
+  }
+  EXPECT_EQ(HotAllocProbe::Count(), first + 1)
+      << "no second chunk mapped after " << pages << " pages";
+  EXPECT_GT(pages, 1u);
 }
 
 TEST(DramTiming, FixedLatencyDelivery) {
