@@ -6,7 +6,8 @@
 // then event-driven — on freshly built engines, asserts the two modes
 // agree bit-for-bit (committed/failed/retries, final cycle count, the
 // full engine stats JSON), and reports simulated-cycles-per-wall-second
-// for both plus the speedup. Each (leg, mode) is timed over repeated runs
+// for both plus the speedup, and how many blocks the event-driven run
+// ticked per simulated cycle. Each (leg, mode) is timed over repeated runs
 // on fresh engines until at least kMinTimedSeconds of wall time has
 // accumulated, and the median run is reported (--smoke: one run), so even
 // a leg that takes milliseconds gives the perf gate a stable figure.
@@ -68,6 +69,7 @@ struct ModeResult {
   host::RunResult run;
   std::string engine_stats_json;
   sim::Simulator::WarpStats warp;
+  uint64_t blocks = 0;  // registered simulator blocks
 };
 
 /// One run on a fresh engine. With `report`, also records the engine run
@@ -109,6 +111,7 @@ ModeResult RunMode(const BenchArgs& args, const Leg& leg, bool event_driven,
   engine.CollectStats(&engine_stats);
   mr.engine_stats_json = engine_stats.ToJson(0);
   mr.warp = engine.simulator().warp_stats();
+  mr.blocks = engine.simulator().components().size();
 
   if (report != nullptr) {
     std::string label = std::string(leg.name) + "/" +
@@ -185,26 +188,34 @@ void RunLeg(const BenchArgs& args, const Leg& leg, TablePrinter* table,
 
   StatsRegistry& reg = report->AddRun(std::string("speed/") + leg.name);
   reg.SetCounter("cycles", base.run.cycles);
+  reg.SetCounter("blocks", event.blocks);
   reg.SetGauge("cycle_accurate/wall_seconds", base.run.wall_seconds);
   reg.SetGauge("cycle_accurate/sim_cycles_per_second", base_cps);
   reg.SetGauge("event_driven/wall_seconds", event.run.wall_seconds);
   reg.SetGauge("event_driven/sim_cycles_per_second", event_cps);
   reg.SetCounter("event_driven/warps", event.warp.warps);
   reg.SetCounter("event_driven/skipped_cycles", event.warp.skipped_cycles);
+  reg.SetCounter("event_driven/block_ticks", event.warp.block_ticks);
   reg.SetGauge("speedup_vs_cycle_accurate", speedup);
 
+  const double cycles = double(base.run.cycles);
   const double skipped_pct =
-      base.run.cycles > 0
-          ? 100.0 * double(event.warp.skipped_cycles) / double(base.run.cycles)
-          : 0;
+      cycles > 0 ? 100.0 * double(event.warp.skipped_cycles) / cycles : 0;
+  // Blocks ticked per simulated cycle: every block every cycle per-cycle,
+  // only the due blocks event-driven.
+  const double blocks_per_cycle =
+      cycles > 0 ? double(event.warp.block_ticks) / cycles : 0;
   table->AddRow({leg.name, "cycle_accurate",
                  std::to_string(base.run.cycles),
                  TablePrinter::Num(base.run.wall_seconds * 1e3, 1),
-                 bench::Mops(base_cps), "-", "-"});
+                 bench::Mops(base_cps), std::to_string(base.blocks), "-",
+                 "-"});
   table->AddRow({leg.name, "event_driven",
                  std::to_string(event.run.cycles),
                  TablePrinter::Num(event.run.wall_seconds * 1e3, 1),
-                 bench::Mops(event_cps), TablePrinter::Num(skipped_pct, 1),
+                 bench::Mops(event_cps),
+                 TablePrinter::Num(blocks_per_cycle, 2),
+                 TablePrinter::Num(skipped_pct, 1),
                  TablePrinter::Num(speedup, 1) + "x"});
 }
 
@@ -242,7 +253,7 @@ void Run(const BenchArgs& args, bench::BenchReport* report) {
   bench::PrintHeader("sim_speed",
                      "event-driven cycle skipping vs per-cycle ticking");
   TablePrinter table({"workload", "mode", "cycles", "wall (ms)",
-                      "Mcycles/s", "skipped %", "speedup"});
+                      "Mcycles/s", "blocks/cycle", "skipped %", "speedup"});
   RunCalibration(report);
   // 4x the HC-2's already-high random-access latency + a fully
   // dependency-serialized workload (one context, one access per txn):

@@ -23,7 +23,9 @@
 //    free more versions than they created;
 //  * every simulator-speed summary run (label "speed/<leg>") carries
 //    positive cycles and a positive sim_cycles_per_second for at least one
-//    simulation mode, and any report containing speed runs also carries a
+//    simulation mode; an event-driven leg also carries its block ticks,
+//    between one and `blocks` per cycle in which some block ticked; and
+//    any report containing speed runs also carries a
 //    "calibration" run with positive host_ops_per_second — the perf-gate
 //    normalization denominator (scripts/perf_gate.py refuses reports
 //    without it, so catch the omission here first).
@@ -374,26 +376,54 @@ bool CheckClusterMonotonicity(const std::string& path,
 /// Simulator-speed summary runs ("speed/<leg>") feed the CI perf ratchet:
 /// each must report the leg's simulated cycle count and a positive
 /// cycles-per-second gauge for at least one simulation mode, or the gate
-/// downstream has nothing to compare.
+/// downstream has nothing to compare. An event-driven leg must also report
+/// its block ticks, between one and `blocks` per cycle in which some block
+/// ticked.
 bool CheckSpeedRun(const std::string& path, const std::string& label,
                    const json::Value& stats) {
   double cycles;
   if (!Num(stats, "cycles", &cycles) || cycles <= 0) {
     return Fail(path, "speed run '" + label + "': missing positive cycles");
   }
+  bool any_mode = false;
   static const char* kModes[] = {"cycle_accurate", "event_driven"};
   for (const char* mode : kModes) {
     double cps;
-    if (Num(stats, std::string(mode) + "/sim_cycles_per_second", &cps)) {
-      if (cps <= 0) {
-        return Fail(path, "speed run '" + label + "': non-positive " +
-                              mode + "/sim_cycles_per_second");
-      }
-      return true;
+    if (!Num(stats, std::string(mode) + "/sim_cycles_per_second", &cps)) {
+      continue;
     }
+    if (cps <= 0) {
+      return Fail(path, "speed run '" + label + "': non-positive " + mode +
+                            "/sim_cycles_per_second");
+    }
+    any_mode = true;
   }
-  return Fail(path, "speed run '" + label +
-                        "': no mode reports sim_cycles_per_second");
+  if (!any_mode) {
+    return Fail(path, "speed run '" + label +
+                          "': no mode reports sim_cycles_per_second");
+  }
+  double ignored;
+  if (!Num(stats, "event_driven/sim_cycles_per_second", &ignored)) {
+    return true;
+  }
+  double blocks, skipped, ticks;
+  if (!Num(stats, "blocks", &blocks) ||
+      !Num(stats, "event_driven/skipped_cycles", &skipped) ||
+      !Num(stats, "event_driven/block_ticks", &ticks)) {
+    return Fail(path, "speed run '" + label +
+                          "': event-driven leg without blocks, "
+                          "skipped_cycles and block_ticks");
+  }
+  const double ticked_cycles = cycles - skipped;
+  if (ticks < ticked_cycles || ticks > blocks * ticked_cycles) {
+    char buf[200];
+    std::snprintf(buf, sizeof buf,
+                  "speed run '%s': event_driven/block_ticks %.0f outside "
+                  "[%.0f, %.0f] (1..blocks per ticked cycle)",
+                  label.c_str(), ticks, ticked_cycles, blocks * ticked_cycles);
+    return Fail(path, buf);
+  }
+  return true;
 }
 
 bool CheckWorkerBreakdown(const std::string& path, const std::string& label,

@@ -13,7 +13,8 @@ CommFabric::CommFabric(uint32_t n_workers, const sim::TimingConfig& timing,
       topology_(topology),
       cluster_(cluster),
       request_inbox_(n_workers),
-      response_inbox_(n_workers) {
+      response_inbox_(n_workers),
+      inbox_owner_(n_workers, nullptr) {
   if (cluster_.workers_per_node > 0) {
     n_chips_ = (n_workers_ + cluster_.workers_per_node - 1) /
                cluster_.workers_per_node;
@@ -77,6 +78,7 @@ void CommFabric::Transmit(uint64_t now, db::WorkerId src, db::WorkerId dst,
 
 void CommFabric::Send(uint64_t now, db::WorkerId src, db::WorkerId dst,
                       const Envelope& env) {
+  Touch();
   const bool is_request = env.is_request();
   Envelope sent = env;
   auto* unacked = is_request ? &unacked_requests_ : &unacked_responses_;
@@ -129,6 +131,7 @@ void CommFabric::DeliverWire(uint64_t cycle, sim::RingQueue<InFlight>* wire,
     if (ChipOf(f.src) != ChipOf(f.dst)) {
       ++links_[size_t(ChipOf(f.src)) * n_chips_ + ChipOf(f.dst)].delivered;
     }
+    if (inbox_owner_[f.dst] != nullptr) inbox_owner_[f.dst]->Touch();
     (*inboxes)[f.dst].push_back(std::move(f.env));
   }
   wire->truncate(kept);

@@ -93,9 +93,17 @@ class CommFabric : public sim::Component {
 
   /// Puts `env` on the wire from `src` to `dst`. Request-class envelopes
   /// ride the request channel, result-class envelopes the response channel;
-  /// the fabric decides from the header tag alone.
+  /// the fabric decides from the header tag alone. Senders are other
+  /// blocks, so Send touches the fabric (sim::Component::Touch) first.
   void Send(uint64_t now, db::WorkerId src, db::WorkerId dst,
             const Envelope& env);
+
+  /// Names the block that drains `worker`'s inboxes. Every delivery into
+  /// them touches that block first, so an event-driven simulator ticks it
+  /// in the delivery cycle. Unset owners are not touched.
+  void set_inbox_owner(db::WorkerId worker, sim::Component* owner) {
+    inbox_owner_[worker] = owner;
+  }
 
   /// Delivered inbound request packets for `worker` (drained by its
   /// background unit).
@@ -114,7 +122,8 @@ class CommFabric : public sim::Component {
   /// earliest delivery or retransmission deadline on any wire. Quiescent
   /// fabric ticks are pure no-ops (no per-cycle accounting), so no
   /// SkipCycles override is needed; packets sitting in worker inboxes are
-  /// the workers' wake concern, not the fabric's.
+  /// the workers' wake concern, not the fabric's (each delivery touches
+  /// the inbox owner).
   uint64_t NextWakeCycle(uint64_t now) const override;
 
   /// One-way latency in cycles between two workers under the configured
@@ -216,6 +225,8 @@ class CommFabric : public sim::Component {
   sim::RingQueue<InFlight> response_wire_;
   std::vector<sim::RingQueue<Envelope>> request_inbox_;
   std::vector<sim::RingQueue<Envelope>> response_inbox_;
+  /// The block draining each worker's inboxes (set_inbox_owner).
+  std::vector<sim::Component*> inbox_owner_;
 
   // Reliability state. std::map keeps retransmission scan order
   // deterministic; requests scan before responses (RunRetransmits), so the

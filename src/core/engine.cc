@@ -24,6 +24,8 @@ BionicDb::BionicDb(const EngineOptions& options) : options_(options) {
     workers_.push_back(std::make_unique<PartitionWorker>(
         database_.get(), w, options.timing, softcore, coproc, fabric_.get()));
     sim_->AddComponent(workers_.back().get(), w);
+    // Deliveries into worker w's inboxes wake worker w.
+    fabric_->set_inbox_owner(w, workers_.back().get());
   }
 }
 

@@ -286,7 +286,7 @@ void Softcore::BeginTxn(uint64_t now) {
     // Close the batch; this transaction is scheduled after it commits.
     batch_closed_ = true;
     state_ = State::kIdle;
-    counters_.Add("batch_closed_on_registers");
+    fc_batch_closed_on_registers_.Add();
     return;
   }
 

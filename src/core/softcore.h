@@ -338,6 +338,10 @@ class Softcore {
   FastCounter fc_ingest_dram_stall_{&counters_, "ingest_dram_stall"};
   FastCounter fc_load_dram_stall_{&counters_, "load_dram_stall"};
   FastCounter fc_txns_admitted_{&counters_, "txns_admitted"};
+  // Once per batch under register pressure (a string-keyed Add would
+  // heap-allocate its 25-character key on every call).
+  FastCounter fc_batch_closed_on_registers_{&counters_,
+                                            "batch_closed_on_registers"};
   FastCounter fc_twopc_prepare_wait_{&counters_,
                                      "twopc_prepare_wait_cycles"};
   FastCounter fc_twopc_decision_wait_{&counters_,

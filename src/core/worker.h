@@ -31,8 +31,12 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
                   index::IndexCoprocessor::Config coproc_config,
                   comm::CommFabric* fabric);
 
-  /// Queues a transaction block on this worker's input queue.
-  void SubmitBlock(sim::Addr block) { softcore_->SubmitBlock(block); }
+  /// Queues a transaction block on this worker's input queue. Callers are
+  /// outside the worker's Tick, so it touches the worker first.
+  void SubmitBlock(sim::Addr block) {
+    Touch();
+    softcore_->SubmitBlock(block);
+  }
 
   void Tick(uint64_t cycle) override;
   bool Idle() const override;
@@ -42,6 +46,10 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
   /// results want the next cycle; otherwise the earliest of the
   /// coprocessor's and softcore's own wake points, where a softcore
   /// dispatch spinning against a full coprocessor counts as quiescent.
+  /// Everything else that can wake the worker reaches it through one of
+  /// the simulator's wake paths: its DRAM lane (coprocessor, softcore and
+  /// raw-memory completions), a fabric delivery into its inboxes (the
+  /// engine makes the worker their owner), SubmitBlock and FreezeUntil.
   uint64_t NextWakeCycle(uint64_t now) const override;
   /// Bulk-applies the cycle-breakdown accounting for a skipped span (one
   /// bucket per cycle, identical to per-cycle classification), the cap
@@ -65,8 +73,10 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
   /// Fault injection: the worker executes nothing until `cycle` — inbound
   /// packets queue up in the fabric, remote peers stall on its responses.
   /// Models a hung or glitched partition core; extending an active freeze
-  /// is allowed (the later deadline wins).
+  /// is allowed (the later deadline wins). The fault scheduler calls it
+  /// from its own Tick, so it touches the worker first.
   void FreezeUntil(uint64_t cycle) {
+    Touch();
     frozen_until_ = std::max(frozen_until_, cycle);
   }
   bool frozen(uint64_t cycle) const { return cycle < frozen_until_; }

@@ -425,6 +425,9 @@ bool HashPipeline::HashBlockedOnLock() const {
 }
 
 uint64_t HashPipeline::NextWakeCycle(uint64_t now) const {
+  // An idle stage makes Tick return at once (AccessStage::BeginTick) until
+  // an op is submitted, which the submitter's own wake covers.
+  if (stage_.Idle()) return sim::kNeverWakes;
   // Stages with queued responses/acks process one item per tick.
   if (!install_ack_.empty() || !install_resp_.empty() ||
       !headfetch_resp_.empty() || !keycomp_resp_.empty()) {
@@ -437,7 +440,7 @@ uint64_t HashPipeline::NextWakeCycle(uint64_t now) const {
   }
   if (hash_blocked_.has_value()) {
     // A lock stall is quiescent until the holder's install completes — a
-    // DRAM ack, hence someone else's wake point. A DRAM-reject stall
+    // DRAM ack on this worker's lane, which wakes it. A DRAM-reject stall
     // retries every tick.
     if (!HashBlockedOnLock()) return now + 1;
   } else if (!hash_resp_.empty()) {

@@ -43,10 +43,10 @@ db::SkiplistLayout* SkiplistPipeline::Layout(uint32_t slot) const {
   return db_->skiplist_index(stage_.op(slot).table, partition_);
 }
 
-std::vector<uint64_t> SkiplistPipeline::LinksFromSnapshot(
-    const sim::MemWords& words) {
+void SkiplistPipeline::LinksFromSnapshot(const sim::MemWords& words,
+                                         std::vector<uint64_t>* links) {
   // Words 0..2 are the header; links start at word 3.
-  return std::vector<uint64_t>(words.begin() + 3, words.end());
+  links->assign(words.begin() + 3, words.end());
 }
 
 int SkiplistPipeline::CompareProbe(const Op& op, sim::Addr tower) const {
@@ -71,7 +71,7 @@ void SkiplistPipeline::Tick(uint64_t now) {
   if (stage_.batched()) TickBatchExec(now);
   TickKeyFetch();
   uint32_t slot = stage_.Admit(now, &keyfetch_resp_, &batch_key_resp_);
-  if (slot != AccessStage::kNone) pool_[slot] = Op{};
+  if (slot != AccessStage::kNone) pool_[slot].Reset();
 }
 
 void SkiplistPipeline::TickInstalls(uint64_t now) {
@@ -297,7 +297,7 @@ void SkiplistPipeline::TickStage(uint64_t now, uint32_t stage_idx) {
       break;
     case Wait::kLoad:
       if (s.resp.empty()) return;
-      op.cur_links = LinksFromSnapshot(s.resp.front().data);
+      LinksFromSnapshot(s.resp.front().data, &op.cur_links);
       s.resp.pop_front();
       s.wait = Wait::kNone;
       Advance(now, &s);
@@ -408,7 +408,7 @@ void SkiplistPipeline::NextArrived(uint64_t now, Stage* stage,
       return;
     }
     op.cur = next;
-    op.cur_links = LinksFromSnapshot(words);
+    LinksFromSnapshot(words, &op.cur_links);
     stage->wait = Wait::kNone;
     Advance(now, stage);
     return;
@@ -613,6 +613,9 @@ void SkiplistPipeline::TickScanner(uint64_t now, uint32_t scanner_idx) {
 }
 
 uint64_t SkiplistPipeline::NextWakeCycle(uint64_t now) const {
+  // An idle stage makes Tick return at once (AccessStage::BeginTick) until
+  // an op is submitted, which the submitter's own wake covers.
+  if (stage_.Idle()) return sim::kNeverWakes;
   // Queued responses/acks process next tick.
   if (!install_ack_.empty() || !keyfetch_resp_.empty() ||
       !batch_key_resp_.empty()) {
@@ -675,6 +678,11 @@ uint64_t SkiplistPipeline::NextWakeCycle(uint64_t now) const {
 void SkiplistPipeline::SkipCycles(uint64_t now, uint64_t count) {
   (void)now;
   bool hazard = false;
+  // An idle pipeline has no op in any stage: nothing to scan.
+  if (stage_.Idle()) {
+    stage_.SkipCycles(count, hazard);
+    return;
+  }
   for (const Stage& s : stages_) {
     if (!s.cur_op.has_value()) continue;
     const Op& op = pool_[*s.cur_op];

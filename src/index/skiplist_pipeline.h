@@ -32,6 +32,7 @@
 #ifndef BIONICDB_INDEX_SKIPLIST_PIPELINE_H_
 #define BIONICDB_INDEX_SKIPLIST_PIPELINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -71,7 +72,8 @@ class SkiplistPipeline {
   /// or scanner holding cached work, a queued response, a pending
   /// admission with a free slot, or a DRAM-reject retry wants the next
   /// cycle; stages stalled on hazard path locks and installs waiting only
-  /// on write acks are quiescent until another block's wake point.
+  /// on write acks are quiescent until an ack lands on the owning
+  /// worker's DRAM lane (which wakes the worker).
   uint64_t NextWakeCycle(uint64_t now) const;
   /// Bulk-applies busy/occupancy accounting and per-cycle lock-stall
   /// counters/flags for skipped cycles now+1 .. now+count.
@@ -116,6 +118,22 @@ class SkiplistPipeline {
     std::vector<std::pair<sim::Addr, uint64_t>> writes_left;
     // Scanner state.
     uint32_t collected = 0;
+
+    /// Back to a fresh op (as Op{} would), keeping the vectors' storage so
+    /// a warm pool slot never allocates again.
+    void Reset() {
+      key.clear();
+      cur = sim::kNullAddr;
+      level = 0;
+      new_height = 0;
+      std::fill(std::begin(preds), std::end(preds), sim::kNullAddr);
+      std::fill(std::begin(succs), std::end(succs), sim::kNullAddr);
+      cur_links.clear();
+      new_tuple = sim::kNullAddr;
+      acks_left = 0;
+      writes_left.clear();
+      collected = 0;
+    }
   };
 
   enum class Wait : uint8_t {
@@ -166,8 +184,10 @@ class SkiplistPipeline {
   };
 
   db::SkiplistLayout* Layout(uint32_t slot) const;
-  static std::vector<uint64_t> LinksFromSnapshot(
-      const sim::MemWords& words);
+  /// Copies a tower snapshot's link words into `links`, reusing its
+  /// storage (one tower per visit, so no allocation per visit).
+  static void LinksFromSnapshot(const sim::MemWords& words,
+                                std::vector<uint64_t>* links);
 
   /// Caches one arrived per-op key and enters the top traversal stage.
   void TickKeyFetch();

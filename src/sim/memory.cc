@@ -150,12 +150,12 @@ uint32_t DramMemory::ChannelOf(Addr addr) const {
   return static_cast<uint32_t>((addr >> 3) % config_.dram_channels);
 }
 
-DramMemory::Channel* DramMemory::AdmitRequest(Lane* lane, uint64_t now,
-                                              Addr addr, bool is_write,
-                                              uint64_t* start) {
-  uint32_t channel = ChannelOf(addr);
-  Channel& ch = lane->channels[channel];
-  if (fault_hook_ != nullptr && fault_hook_->ChannelStuck(now, channel)) {
+bool DramMemory::AdmitRequest(Lane* lane, uint64_t now, Addr addr,
+                              bool is_write, uint32_t* channel,
+                              uint64_t* start) {
+  *channel = ChannelOf(addr);
+  Channel& ch = lane->channels[*channel];
+  if (fault_hook_ != nullptr && fault_hook_->ChannelStuck(now, *channel)) {
     // A stuck-busy channel refuses admission entirely; requesters see it as
     // prolonged backpressure and keep retrying, which is exactly how a
     // wedged DIMM manifests to the pipelines.
@@ -167,7 +167,7 @@ DramMemory::Channel* DramMemory::AdmitRequest(Lane* lane, uint64_t now,
     } else {
       ++lane->read_rejects;
     }
-    return nullptr;
+    return false;
   }
   if (ch.queued >= config_.dram_channel_queue_depth) {
     ++lane->backpressure_rejects;
@@ -177,11 +177,11 @@ DramMemory::Channel* DramMemory::AdmitRequest(Lane* lane, uint64_t now,
     } else {
       ++lane->read_rejects;
     }
-    return nullptr;
+    return false;
   }
   *start = std::max(ch.busy_until, now);
   if (fault_hook_ != nullptr) {
-    uint64_t extra = fault_hook_->ExtraLatency(now, channel);
+    uint64_t extra = fault_hook_->ExtraLatency(now, *channel);
     if (extra > 0) {
       *start += extra;
       lane->fault_spike_cycles += extra;
@@ -199,55 +199,24 @@ DramMemory::Channel* DramMemory::AdmitRequest(Lane* lane, uint64_t now,
   } else {
     ++lane->total_reads;
   }
-  return &ch;
-}
-
-bool DramMemory::Issue(uint64_t now, Addr addr, bool is_write,
-                       MemResponseQueue* sink, uint64_t cookie,
-                       uint32_t snapshot_words) {
-  Lane& lane = CurrentLane();
-  uint64_t start = 0;
-  if (AdmitRequest(&lane, now, addr, is_write, &start) == nullptr) {
-    return false;
-  }
-  if (!is_write) PrefetchLine(addr);
-  uint64_t complete_at = start + config_.dram_latency_cycles;
-  lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie, is_write,
-                            /*apply_write=*/false, /*write_value=*/0,
-                            snapshot_words, sink});
-  if (complete_at < lane.next_ready) lane.next_ready = complete_at;
   return true;
 }
 
-bool DramMemory::IssueRowHit(uint64_t now, Addr addr, bool is_write,
-                             MemResponseQueue* sink, uint64_t cookie,
-                             uint32_t snapshot_words) {
+bool DramMemory::Enqueue(uint64_t now, uint64_t latency, Addr addr,
+                         bool is_write, bool apply_write, uint64_t write_value,
+                         MemResponseQueue* sink, uint64_t cookie,
+                         uint32_t snapshot_words) {
   Lane& lane = CurrentLane();
+  uint32_t channel = 0;
   uint64_t start = 0;
-  if (AdmitRequest(&lane, now, addr, is_write, &start) == nullptr) {
+  if (!AdmitRequest(&lane, now, addr, is_write, &channel, &start)) {
     return false;
   }
   if (!is_write) PrefetchLine(addr);
-  uint64_t complete_at = start + config_.dram_row_hit_latency_cycles;
-  lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie, is_write,
-                            /*apply_write=*/false, /*write_value=*/0,
-                            snapshot_words, sink});
-  if (complete_at < lane.next_ready) lane.next_ready = complete_at;
-  return true;
-}
-
-bool DramMemory::IssueWrite64(uint64_t now, Addr addr, uint64_t value,
-                              MemResponseQueue* sink, uint64_t cookie) {
-  Lane& lane = CurrentLane();
-  uint64_t start = 0;
-  if (AdmitRequest(&lane, now, addr, /*is_write=*/true, &start) == nullptr) {
-    return false;
-  }
-  uint64_t complete_at = start + config_.dram_latency_cycles;
-  lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie,
-                            /*is_write=*/true,
-                            /*apply_write=*/true, value, /*snapshot_words=*/0,
-                            sink});
+  const uint64_t complete_at = start + latency;
+  lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie, write_value,
+                            sink, snapshot_words, channel, is_write,
+                            apply_write});
   if (complete_at < lane.next_ready) lane.next_ready = complete_at;
   return true;
 }
@@ -292,15 +261,18 @@ void DramMemory::DrainLane(uint32_t lane_idx, uint64_t now) {
   Lane& lane = lanes_[lane_idx];
   while (!lane.pending.empty() && lane.pending.top().complete_at <= now) {
     const Pending& p = lane.pending.top();
-    lane.channels[ChannelOf(p.addr)].queued--;
+    lane.channels[p.channel].queued--;
     if (p.apply_write) Write64(p.addr, p.write_value);
     if (p.sink != nullptr) {
       MemResponse resp{p.addr, p.cookie, p.is_write, {}};
-      if (!p.is_write && p.snapshot_words > 0) {
+      if (!p.is_write && p.snapshot_words == 1) {
+        resp.data.resize(1);
+        resp.data[0] = Read64(p.addr);
+      } else if (!p.is_write && p.snapshot_words > 1) {
+        // One copy for a multi-word snapshot (a skiplist tower): ReadBytes
+        // resolves each page once, not once per word.
         resp.data.resize(p.snapshot_words);
-        for (uint32_t i = 0; i < p.snapshot_words; ++i) {
-          resp.data[i] = Read64(p.addr + 8ull * i);
-        }
+        ReadBytes(p.addr, resp.data.data(), 8ull * p.snapshot_words);
       }
       p.sink->push_back(std::move(resp));
     }

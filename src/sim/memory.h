@@ -261,7 +261,11 @@ class DramMemory {
   /// `snapshot_words` 64-bit words starting at `addr` are copied into the
   /// response at completion time.
   bool Issue(uint64_t now, Addr addr, bool is_write, MemResponseQueue* sink,
-             uint64_t cookie, uint32_t snapshot_words = 0);
+             uint64_t cookie, uint32_t snapshot_words = 0) {
+    return Enqueue(now, config_.dram_latency_cycles, addr, is_write,
+                   /*apply_write=*/false, /*write_value=*/0, sink, cookie,
+                   snapshot_words);
+  }
 
   /// Same contract as Issue, but charged at the row-hit (sequential-burst)
   /// latency instead of the random-access latency. Callers — the batched
@@ -270,7 +274,11 @@ class DramMemory {
   /// DRAM model stateless and deterministic across simulation modes.
   bool IssueRowHit(uint64_t now, Addr addr, bool is_write,
                    MemResponseQueue* sink, uint64_t cookie,
-                   uint32_t snapshot_words = 0);
+                   uint32_t snapshot_words = 0) {
+    return Enqueue(now, config_.dram_row_hit_latency_cycles, addr, is_write,
+                   /*apply_write=*/false, /*write_value=*/0, sink, cookie,
+                   snapshot_words);
+  }
 
   /// True when two addresses fall within the same DRAM row span and a
   /// back-to-back access to `b` after `a` qualifies for the row-hit cost.
@@ -284,7 +292,11 @@ class DramMemory {
   /// before the write completes see the old value — the physical basis of
   /// the paper's pipeline hazards (Figures 6/7).
   bool IssueWrite64(uint64_t now, Addr addr, uint64_t value,
-                    MemResponseQueue* sink, uint64_t cookie);
+                    MemResponseQueue* sink, uint64_t cookie) {
+    return Enqueue(now, config_.dram_latency_cycles, addr, /*is_write=*/true,
+                   /*apply_write=*/true, value, sink, cookie,
+                   /*snapshot_words=*/0);
+  }
 
   /// Delivers all completions due at or before `now` (every lane). Inline
   /// fast path: one compare per lane against its cached next completion
@@ -315,6 +327,17 @@ class DramMemory {
       if (w < wake) wake = w;
     }
     return wake;
+  }
+
+  /// The lane timed accesses use under partition context `partition` (the
+  /// host context and out-of-range partitions share lane 0).
+  uint32_t LaneOf(uint32_t partition) const {
+    if (!partitioned_ || partition == kHostPartition) return 0;
+    return partition < lanes_.size() ? partition : 0;
+  }
+  /// True when Tick(now) delivers at least one completion on `lane`.
+  bool LaneDue(uint32_t lane, uint64_t now) const {
+    return now >= lanes_[lane].next_ready;
   }
 
   uint64_t total_reads() const { return SumLanes(&Lane::total_reads); }
@@ -389,16 +412,18 @@ class DramMemory {
     uint64_t seq;  // tie-break for deterministic delivery order
     Addr addr;
     uint64_t cookie;
+    uint64_t write_value;  // value applied at completion
+    MemResponseQueue* sink;
+    uint32_t snapshot_words;
+    uint32_t channel;      // ChannelOf(addr), fixed at admission
     bool is_write;
     bool apply_write;      // delayed-apply write (see IssueWrite64)
-    uint64_t write_value;  // value applied at completion
-    uint32_t snapshot_words;
-    MemResponseQueue* sink;
     bool operator>(const Pending& o) const {
       if (complete_at != o.complete_at) return complete_at > o.complete_at;
       return seq > o.seq;
     }
   };
+  static_assert(sizeof(Pending) == 64, "Pending fills one cache line");
 
   struct Channel {
     uint64_t busy_until = 0;
@@ -439,19 +464,24 @@ class DramMemory {
   };
 
   /// Common admission path: channel lookup, backpressure check, occupancy
-  /// accounting. Returns nullptr on reject (counters updated); otherwise
-  /// the channel, with `*start` set to the service start cycle.
-  Channel* AdmitRequest(Lane* lane, uint64_t now, Addr addr, bool is_write,
-                        uint64_t* start);
+  /// accounting. Returns false on reject (counters updated); otherwise
+  /// sets `*channel` to the request's channel and `*start` to its service
+  /// start cycle.
+  bool AdmitRequest(Lane* lane, uint64_t now, Addr addr, bool is_write,
+                    uint32_t* channel, uint64_t* start);
+
+  /// Shared body of Issue, IssueRowHit and IssueWrite64: admits the
+  /// request on the current lane and queues its completion `latency`
+  /// cycles after service starts.
+  bool Enqueue(uint64_t now, uint64_t latency, Addr addr, bool is_write,
+               bool apply_write, uint64_t write_value, MemResponseQueue* sink,
+               uint64_t cookie, uint32_t snapshot_words);
 
   /// Tick slow path: delivers every completion due at or before `now`
   /// and refreshes the lane's next_ready cache.
   void DrainLane(uint32_t lane, uint64_t now);
 
-  Lane& CurrentLane() {
-    if (!partitioned_ || partition_ == kHostPartition) return lanes_[0];
-    return lanes_[partition_ < lanes_.size() ? partition_ : 0];
-  }
+  Lane& CurrentLane() { return lanes_[LaneOf(partition_)]; }
   Arena& CurrentArena() {
     if (!partitioned_ || partition_ == kHostPartition) return arenas_[0];
     uint32_t idx = partition_ + 1;

@@ -4,13 +4,7 @@
 
 namespace bionicdb::sim {
 
-// Adaptive wake polling (WarpBefore). A poll that finds nothing to skip
-// walks every block's hint for nothing, and on dense stretches nearly every
-// poll does. So each fruitless poll doubles the number of real ticks taken
-// before the next one (1, 2, 4, ...) up to kMaxPollGap; a poll that warps
-// resets the gap to zero (poll every cycle). The policy sees only poll
-// results, never host time, so warp counts repeat exactly from run to run.
-const uint64_t Simulator::kMaxPollGap = 8;
+void Component::TouchScheduled() { scheduler_->Touch(slot_); }
 
 Simulator::Simulator(const TimingConfig& config)
     : config_(config), dram_(config) {
@@ -18,17 +12,27 @@ Simulator::Simulator(const TimingConfig& config)
   components_.reserve(16);
   partition_of_.reserve(16);
   component_cycles_.reserve(16);
-  scratch_busy_.reserve(16);
+  wake_.reserve(16);
+  settled_.reserve(16);
+  idle_sample_.reserve(16);
+  lane_of_.reserve(16);
 }
 
 void Simulator::AddComponent(Component* component) {
-  // Flush first: scratch entries only cover components that existed for
-  // every sampled tick since the last flush.
-  FlushSamples();
   components_.push_back(component);
   partition_of_.push_back(DramMemory::kHostPartition);
   component_cycles_.emplace_back();
-  scratch_busy_.push_back(0);
+  // Charged from the next cycle on, like a block ticking from then on;
+  // Resync fills in the rest before the block is scheduled.
+  wake_.push_back(now_ + 1);
+  settled_.push_back(now_);
+  idle_sample_.push_back(1);
+  lane_of_.push_back(0);
+  turn_ = components_.size();
+  if (config_.event_driven) {
+    component->scheduler_ = this;
+    component->slot_ = uint32_t(components_.size() - 1);
+  }
 }
 
 void Simulator::AddComponent(Component* component, uint32_t partition) {
@@ -36,16 +40,24 @@ void Simulator::AddComponent(Component* component, uint32_t partition) {
   partition_of_.back() = partition;
 }
 
+void Simulator::FastForward(uint64_t target) {
+  if (target < now_) {
+    counters_.Add("fastforward_backwards_clamped");
+    return;
+  }
+  now_ = target;
+  std::fill(settled_.begin(), settled_.end(), target);
+}
+
 void Simulator::TickOnce() {
   const uint64_t now = ++now_;
   dram_.Tick(now);
-  ++scratch_ticks_;
-  // Hot-loop state as flat arrays (component pointer, partition, busy
-  // scratch), walked with raw pointers so the per-cycle loop reads three
-  // parallel arrays instead of chasing vector headers per component.
+  // Hot-loop state as flat arrays (component pointer, partition, busy/idle
+  // counts), walked with raw pointers so the per-cycle loop reads parallel
+  // arrays instead of chasing vector headers per component.
   Component* const* comps = components_.data();
   const uint32_t* partition = partition_of_.data();
-  uint64_t* busy = scratch_busy_.data();
+  ComponentCycles* cycles = component_cycles_.data();
   const size_t n = components_.size();
   // One save/restore of the DRAM's partition context brackets the whole
   // loop: each component ticks under its partition, so arena/lane routing
@@ -56,9 +68,12 @@ void Simulator::TickOnce() {
     dram_.SetPartitionContext(partition[i]);
     comps[i]->Tick(now);
     // Post-tick sample: a component with outstanding work this cycle is
-    // charged as busy, otherwise idle (idle = ticks - busy, on flush).
+    // charged as busy, otherwise idle. Integer adds, not a branch: the
+    // sample alternates between blocks, which mispredicts.
     const bool b = !comps[i]->Idle();
-    busy[i] += b ? 1 : 0;
+    const uint64_t busy = b;
+    cycles[i].busy += busy;
+    cycles[i].idle += 1 - busy;
     any_busy |= b;
   }
   dram_.SetPartitionContext(saved);
@@ -72,132 +87,159 @@ void Simulator::TickOnce() {
   all_idle_after_tick_ = !any_busy && AllIdle();
 }
 
-void Simulator::FlushSamples() const {
-  if (scratch_ticks_ == 0) return;
-  for (size_t i = 0; i < component_cycles_.size(); ++i) {
-    component_cycles_[i].busy += scratch_busy_[i];
-    component_cycles_[i].idle += scratch_ticks_ - scratch_busy_[i];
-    scratch_busy_[i] = 0;
-  }
-  scratch_ticks_ = 0;
-}
-
-uint64_t Simulator::NextWakeCycle() const {
-  uint64_t wake = dram_.NextWakeCycle(now_);
-  for (const Component* c : components_) {
-    if (wake <= now_ + 1) return now_ + 1;
-    wake = std::min(wake, c->NextWakeCycle(now_));
-  }
-  // A hint at or before now_ would stall the clock; clamp it forward.
-  return std::max(wake, now_ + 1);
-}
-
-void Simulator::WarpBefore(uint64_t limit) {
-  // Skipping a poll only means ticking the next cycle for real, which is
-  // always exact: the back-off trades skip opportunities, never results.
-  if (poll_countdown_ > 0) {
-    --poll_countdown_;
-    return;
-  }
-  // Nothing can be skipped before the caller's last cycle: no poll.
-  if (limit <= now_ + 1) return;
-  const uint64_t wake = std::min(NextWakeCycle(), limit);
-  if (wake <= now_ + 1) {
-    poll_gap_ = std::min(std::max<uint64_t>(1, 2 * poll_gap_), kMaxPollGap);
-    poll_countdown_ = poll_gap_;
-    return;
-  }
-  poll_gap_ = 0;
-  const uint64_t skip = wake - now_ - 1;
-  // Bulk busy/idle sample: Idle() is constant across a quiescent span (no
-  // block's externally visible state changes), so one post-skip probe
-  // stands in for `skip` per-cycle samples.
-  scratch_ticks_ += skip;
+void Simulator::Resync() {
   for (size_t i = 0; i < components_.size(); ++i) {
-    if (!components_[i]->Idle()) scratch_busy_[i] += skip;
-    components_[i]->SkipCycles(now_, skip);
+    Component* c = components_[i];
+    lane_of_[i] = dram_.LaneOf(partition_of_[i]);
+    idle_sample_[i] = c->Idle() ? 1 : 0;
+    wake_[i] = std::max(c->NextWakeCycle(now_), now_ + 1);
   }
-  ++warp_stats_.warps;
-  warp_stats_.skipped_cycles += skip;
-  now_ += skip;
 }
 
-template <typename DoneFn>
-bool Simulator::RunLoop(DoneFn&& done, uint64_t limit) {
-  bool fired = true;
-  if (config_.event_driven) {
-    while (!done()) {
-      if (now_ >= limit) {
-        fired = false;
-        break;
-      }
-      WarpBefore(limit);
-      TickOnce();
-    }
+void Simulator::SettleSpan(size_t i, uint64_t through) {
+  const uint64_t from = settled_[i];
+  const uint64_t count = through - from;
+  // Nothing changed the block since `from` (a change would have touched it
+  // or come from its lane, both of which settle first), so its Idle()
+  // sample and SkipCycles accounting hold for the whole span.
+  components_[i]->SkipCycles(from, count);
+  ComponentCycles& cycles = component_cycles_[i];
+  (idle_sample_[i] != 0 ? cycles.idle : cycles.busy) += count;
+  settled_[i] = through;
+}
+
+void Simulator::SettleAll() {
+  for (size_t i = 0; i < components_.size(); ++i) Settle(i, now_);
+}
+
+void Simulator::Touch(size_t i) {
+  if (i == turn_) return;  // its own tick: the hint is re-read after it
+  if (i < turn_) {
+    // Its turn this cycle is over (or no cycle is running): charge this
+    // cycle against the old state and tick it next cycle.
+    Settle(i, now_);
+    wake_[i] = std::min(wake_[i], now_ + 1);
   } else {
-    while (!done()) {
-      if (now_ >= limit) {
-        fired = false;
-        break;
-      }
-      TickOnce();
-    }
+    // Its turn is still to come: tick it this cycle.
+    Settle(i, now_ - 1);
+    wake_[i] = now_;
   }
-  FlushSamples();
-  return fired;
+}
+
+void Simulator::Advance(uint64_t limit) {
+  const size_t n = components_.size();
+  uint64_t* wake = wake_.data();
+  const uint64_t dram_wake = dram_.NextWakeCycle(now_);
+  uint64_t next = std::min(dram_wake, limit);
+  for (size_t i = 0; i < n; ++i) next = std::min(next, wake[i]);
+  if (next > now_ + 1) {
+    ++warp_stats_.warps;
+    warp_stats_.skipped_cycles += next - now_ - 1;
+  }
+  const uint64_t now = now_ = next;
+  if (dram_wake <= now) {
+    // A delivering lane wakes every block that issues on it. Settle them
+    // first: their skipped cycles belong to the pre-delivery state.
+    for (size_t i = 0; i < n; ++i) {
+      if (wake[i] > now && dram_.LaneDue(lane_of_[i], now)) {
+        Settle(i, now - 1);
+        wake[i] = now;
+      }
+    }
+    dram_.Tick(now);
+  }
+  const uint32_t saved = dram_.PartitionContext();
+  bool ticked = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (wake[i] > now) continue;
+    turn_ = i;
+    Settle(i, now - 1);
+    Component* c = components_[i];
+    dram_.SetPartitionContext(partition_of_[i]);
+    c->Tick(now);
+    const uint64_t busy = !c->Idle();
+    idle_sample_[i] = uint8_t(1 - busy);
+    component_cycles_[i].busy += busy;
+    component_cycles_[i].idle += 1 - busy;
+    settled_[i] = now;
+    wake[i] = std::max(c->NextWakeCycle(now), now + 1);
+    ticked = true;
+    ++warp_stats_.block_ticks;
+  }
+  turn_ = n;
+  dram_.SetPartitionContext(saved);
+  if (!ticked) ++warp_stats_.skipped_cycles;
 }
 
 void Simulator::Step(uint64_t cycles) {
   const uint64_t target = now_ + cycles;
   if (config_.event_driven) {
-    while (now_ < target) {
-      WarpBefore(target);
-      TickOnce();
-    }
+    Resync();
+    while (now_ < target) Advance(target);
+    SettleAll();
   } else {
     for (uint64_t i = 0; i < cycles; ++i) TickOnce();
   }
-  FlushSamples();
 }
 
 bool Simulator::RunUntil(const std::function<bool()>& done,
                          uint64_t max_cycles) {
   uint64_t limit = (max_cycles == UINT64_MAX) ? UINT64_MAX : now_ + max_cycles;
-  return RunLoop(done, limit);
+  if (config_.event_driven) {
+    for (;;) {
+      // `done` reads settled blocks and may change any of them, so every
+      // hint is re-read after it.
+      SettleAll();
+      if (done()) return true;
+      if (now_ >= limit) return false;
+      Resync();
+      Advance(limit);
+    }
+  }
+  while (!done()) {
+    if (now_ >= limit) return false;
+    TickOnce();
+  }
+  return true;
 }
 
 bool Simulator::RunUntilIdle(uint64_t max_cycles) {
   uint64_t limit = (max_cycles == UINT64_MAX) ? UINT64_MAX : now_ + max_cycles;
+  if (AllIdle()) return true;
+  bool fired = true;
+  if (config_.event_driven) {
+    Resync();
+    for (;;) {
+      if (now_ >= limit) {
+        fired = false;
+        break;
+      }
+      Advance(limit);
+      // Same reasoning as TickOnce's cached quiescence: a busy sample
+      // (fresh, or cached from a sleeping block, whose Idle() only its own
+      // tick can turn true) proves the machine is running; all-idle
+      // samples are confirmed with a full scan.
+      if (std::find(idle_sample_.begin(), idle_sample_.end(), 0) ==
+              idle_sample_.end() &&
+          AllIdle()) {
+        break;
+      }
+    }
+    SettleAll();
+    return fired;
+  }
   // The quiescence predicate between iterations is exactly the all-idle
   // flag TickOnce computed (no state changes between a tick and the next
   // loop top), so the per-cycle path avoids re-scanning every component's
   // virtual Idle() each cycle.
-  if (AllIdle()) {
-    FlushSamples();
-    return true;
-  }
-  bool fired = true;
-  if (config_.event_driven) {
-    for (;;) {
-      if (now_ >= limit) {
-        fired = false;
-        break;
-      }
-      WarpBefore(limit);
-      TickOnce();
-      if (all_idle_after_tick_) break;
+  for (;;) {
+    if (now_ >= limit) {
+      fired = false;
+      break;
     }
-  } else {
-    for (;;) {
-      if (now_ >= limit) {
-        fired = false;
-        break;
-      }
-      TickOnce();
-      if (all_idle_after_tick_) break;
-    }
+    TickOnce();
+    if (all_idle_after_tick_) break;
   }
-  FlushSamples();
   return fired;
 }
 
@@ -210,7 +252,6 @@ bool Simulator::AllIdle() const {
 }
 
 void Simulator::CollectStats(StatsScope scope) const {
-  FlushSamples();
   scope.SetCounter("cycles", now_);
   scope.SetGauge("clock_mhz", config_.clock_mhz);
   scope.MergeCounterSet(counters_);

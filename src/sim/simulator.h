@@ -19,14 +19,16 @@ namespace bionicdb::sim {
 /// are used by running independent simulators side by side
 /// (host::RunSweep).
 ///
-///  * Event-driven (TimingConfig::event_driven, the default): quiescent
-///    spans — stretches where every block's NextWakeCycle hint agrees
-///    nothing happens — are skipped in one jump instead of ticked cycle by
-///    cycle. Skipped cycles are bulk-charged through Component::SkipCycles
-///    so busy/idle sampling and all stall-attribution counters stay
-///    bit-identical. The hints are polled adaptively: after polls that
-///    found nothing to skip, the simulator ticks up to kMaxPollGap cycles
-///    for real before polling again (see WarpBefore).
+///  * Event-driven (TimingConfig::event_driven, the default): every
+///    registered block is scheduled on its own. A block ticks only at
+///    cycles where it is due — its NextWakeCycle hint has come, another
+///    block touched it (Component::Touch), or its DRAM lane delivers —
+///    and keeps its registration-order turn within such a cycle. A
+///    sleeping block is settled lazily: its SkipCycles and its cached
+///    busy/idle sample are charged when it next ticks, when it is touched,
+///    or when the run call returns. The clock jumps straight to the
+///    earliest block wake or DRAM completion, so cycles in which no block
+///    is due cost nothing.
 ///
 ///  * Per-cycle (event_driven = false): each registered component ticks
 ///    every cycle, in registration order, after DRAM delivers completions
@@ -38,7 +40,8 @@ class Simulator {
 
   /// Registers a block that belongs to no partition (the fabric, the fault
   /// scheduler); it ticks under the host partition context. The simulator
-  /// does not take ownership.
+  /// does not take ownership, and a registered block must not be touched
+  /// after its simulator is destroyed.
   void AddComponent(Component* component);
 
   /// Registers a block belonging to partition `partition`: it ticks under
@@ -52,9 +55,11 @@ class Simulator {
   /// Runs until `done()` returns true or `max_cycles` elapse.
   /// Returns true if `done` fired (false = cycle budget exhausted).
   /// In event-driven mode (the default) `done` must be a function of
-  /// component/DRAM state, not of now(): it is evaluated once per real
-  /// tick, and real ticks are the only cycles where component state can
-  /// change. To stop at a cycle, use Step or the `max_cycles` budget.
+  /// component/DRAM state, not of now(): it is evaluated once per cycle in
+  /// which some block may have ticked, with every block settled, and those
+  /// are the only cycles where component state can change. `done` may
+  /// change blocks (submit work); the simulator re-reads every hint after
+  /// it. To stop at a cycle, use Step or the `max_cycles` budget.
   bool RunUntil(const std::function<bool()>& done,
                 uint64_t max_cycles = UINT64_MAX);
 
@@ -68,14 +73,9 @@ class Simulator {
   /// paper section 4.8). Requires target >= now(); a backwards target is
   /// clamped (the clock never moves back) and counted under the
   /// "fastforward_backwards_clamped" counter so callers violating the
-  /// precondition are visible in the stats dump.
-  void FastForward(uint64_t target) {
-    if (target < now_) {
-      counters_.Add("fastforward_backwards_clamped");
-      return;
-    }
-    now_ = target;
-  }
+  /// precondition are visible in the stats dump. The jumped cycles are
+  /// charged to no block.
+  void FastForward(uint64_t target);
   DramMemory& dram() { return dram_; }
   const TimingConfig& config() const { return config_; }
   CounterSet& counters() { return counters_; }
@@ -89,56 +89,52 @@ class Simulator {
     uint64_t idle = 0;
   };
   const std::vector<ComponentCycles>& component_cycles() const {
-    FlushSamples();
     return component_cycles_;
   }
   const std::vector<Component*>& components() const { return components_; }
 
-  /// Event-driven warp telemetry. Deliberately NOT part of CollectStats:
-  /// stats must be bit-identical between modes (the differential tests
-  /// compare the JSON), so host-side speedup data is exposed separately
-  /// for the sim_speed harness.
+  /// Event-driven telemetry. Deliberately NOT part of CollectStats: stats
+  /// must be bit-identical between modes (the differential tests compare
+  /// the JSON), so host-side speedup data is exposed separately for the
+  /// sim_speed harness.
   struct WarpStats {
-    uint64_t warps = 0;           // number of clock jumps taken
-    uint64_t skipped_cycles = 0;  // cycles covered by jumps (never ticked)
+    uint64_t warps = 0;           // clock jumps of more than one cycle
+    uint64_t skipped_cycles = 0;  // cycles in which no block ticked
+    uint64_t block_ticks = 0;     // real Tick calls, summed over blocks
   };
   const WarpStats& warp_stats() const { return warp_stats_; }
-
-  /// Most real ticks event-driven mode takes between two wake polls once
-  /// polls keep finding nothing to skip (value in simulator.cc).
-  static const uint64_t kMaxPollGap;
 
   /// Dumps simulator-level stats (clock, per-component busy/idle, DRAM
   /// channel utilisation) under `scope`.
   void CollectStats(StatsScope scope) const;
 
  private:
+  friend class Component;
+
+  /// Per-cycle mode: DRAM delivers, then every block ticks.
   void TickOnce();
 
-  /// Minimum of all blocks' wake hints (clamped to > now_), with an
-  /// early-out as soon as any block wants the very next cycle.
-  uint64_t NextWakeCycle() const;
+  // --- Event-driven scheduling -------------------------------------------
 
-  /// Event-driven jump: if every block's next interesting cycle is past
-  /// now_ + 1, advances the clock to just before min(wake, limit),
-  /// bulk-charging the skipped cycles. `limit` is the last cycle the
-  /// caller will still tick for real. Leaves now_ < limit so the caller's
-  /// next TickOnce lands exactly on the wake (or limit) cycle. Polls only
-  /// when the back-off countdown has run out (see simulator.cc).
-  void WarpBefore(uint64_t limit);
-
-  /// Folds the sampling scratch accumulated since the last flush into
-  /// component_cycles_. Sampling goes through a scratch so the per-cycle
-  /// hot loop touches one counter per component instead of read-modify-
-  /// writing the busy/idle pair; flushed per Step/RunUntil call and
-  /// lazily on read.
-  void FlushSamples() const;
-
-  /// Shared Step/RunUntil driver, templated so RunUntilIdle's predicate is
-  /// a directly inlined lambda instead of a std::function indirection in
-  /// the hot loop.
-  template <typename DoneFn>
-  bool RunLoop(DoneFn&& done, uint64_t limit);
+  /// Re-reads every block's Idle() sample and wake hint and its DRAM lane:
+  /// host code may have changed any block since the last run call.
+  void Resync();
+  /// Advances the clock to the next cycle that needs work — the earliest
+  /// block wake or DRAM completion, or `limit` — and runs that cycle: the
+  /// delivering lanes' blocks are settled and made due, the DRAM drains,
+  /// and every due block ticks in registration order. Requires
+  /// now_ < limit.
+  void Advance(uint64_t limit);
+  /// Charges block `i`'s skipped cycles through `through` (SkipCycles plus
+  /// its cached busy/idle sample). Inline no-op when already settled.
+  void Settle(size_t i, uint64_t through) {
+    if (settled_[i] < through) SettleSpan(i, through);
+  }
+  void SettleSpan(size_t i, uint64_t through);
+  /// Settles every block through now_.
+  void SettleAll();
+  /// Component::Touch for slot `i` (contract in sim/component.h).
+  void Touch(size_t i);
 
   /// The RunUntilIdle predicate: every component and the DRAM are idle.
   bool AllIdle() const;
@@ -149,21 +145,23 @@ class Simulator {
   /// Partition context each component ticks under
   /// (DramMemory::kHostPartition for blocks outside any partition).
   std::vector<uint32_t> partition_of_;
-  // Mutable + scratch: samples accumulate in scratch_busy_/scratch_ticks_
-  // during a run and fold into component_cycles_ on flush (also from const
-  // readers, hence mutable).
-  mutable std::vector<ComponentCycles> component_cycles_;
-  mutable std::vector<uint64_t> scratch_busy_;
-  mutable uint64_t scratch_ticks_ = 0;
+  std::vector<ComponentCycles> component_cycles_;
+  // Event-driven per-block state, parallel to components_: the cycle the
+  // block next ticks at, the last cycle it has been charged through (by a
+  // tick or a settle), its last Idle() sample, and the DRAM lane its
+  // partition context issues on.
+  std::vector<uint64_t> wake_;
+  std::vector<uint64_t> settled_;
+  std::vector<uint8_t> idle_sample_;
+  std::vector<uint32_t> lane_of_;
+  /// Slot whose turn the current cycle is at; components_.size() outside
+  /// the block loop (every turn of the cycle is over).
+  size_t turn_ = 0;
   uint64_t now_ = 0;
   /// Quiescence of the whole machine as of the end of the last TickOnce
   /// (see TickOnce; consumed by RunUntilIdle's loop).
   bool all_idle_after_tick_ = false;
   WarpStats warp_stats_;
-  /// Adaptive polling: the current back-off gap, and the real ticks left
-  /// before the next poll.
-  uint64_t poll_gap_ = 0;
-  uint64_t poll_countdown_ = 0;
   CounterSet counters_;
 };
 

@@ -2,15 +2,17 @@
 // 10): TimingConfig::event_driven must be invisible in everything except
 // wall-clock time. Mock-component tests pin the warp mechanics (clock
 // positions, tick counts, Step/RunUntil boundary semantics, busy/idle
-// attribution, the adaptive poll back-off); the engine tests run real
-// workloads — YCSB variants, TPC-C, multisite on two and four partitions,
-// seeded fault chaos, a coprocessor held at its in-flight cap — in both
-// modes and assert the final cycle count, commit/abort outcomes and the
-// complete engine stats JSON are bit-identical. Event-driven is the
-// default mode, so every per-cycle reference asks for it explicitly.
+// attribution, per-block sleeping and Touch ordering); the engine tests
+// run real workloads — YCSB variants, TPC-C, multisite on two and four
+// partitions, seeded fault chaos, a coprocessor held at its in-flight cap
+// — in both modes and assert the final cycle count, commit/abort outcomes
+// and the complete engine stats JSON are bit-identical, and that the
+// event-driven run let blocks sleep while others ticked. Event-driven is
+// the default mode, so every per-cycle reference asks for it explicitly.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "fault/fault.h"
@@ -164,26 +166,155 @@ class BurstThenSleep : public sim::Component {
   uint64_t skipped_ = 0;
 };
 
-TEST(SimWarp, PollBackoffStillSkipsAQuiescentSpan) {
-  // 1,000 cycles that each wake at now + 1 push the poll gap to its
-  // maximum; the 10,000-cycle quiescent span after them must still be
-  // found within one gap and skipped in one warp.
+TEST(SimWarp, SleepingBlockCostsNoTicksBesideADenseOne) {
+  // A dense block keeps the clock ticking every cycle; the burst block's
+  // 10,000-cycle quiescent span after its 1,000 dense cycles must still
+  // cost it zero real ticks, and the bookkeeping must match per-cycle.
+  class Dense : public sim::Component {
+   public:
+    Dense() : sim::Component("dense") {}
+    void Tick(uint64_t) override {}
+    bool Idle() const override { return true; }
+  };
+  sim::Simulator base(PerCycle());
+  Dense base_dense;
+  BurstThenSleep base_burst(1'000, 11'000);
+  base.AddComponent(&base_dense);
+  base.AddComponent(&base_burst);
+  base.Step(12'000);
+
   sim::Simulator::WarpStats warps[2];
   for (sim::Simulator::WarpStats& w : warps) {
     sim::Simulator fast(EventDriven());
+    Dense dense;
     BurstThenSleep burst(1'000, 11'000);
+    fast.AddComponent(&dense);
     fast.AddComponent(&burst);
     fast.Step(12'000);
     EXPECT_EQ(fast.now(), 12'000u);
-    EXPECT_EQ(burst.real_ticks_ + burst.skipped_, 12'000u);
-    EXPECT_LE(burst.ticks_asleep_, sim::Simulator::kMaxPollGap);
-    EXPECT_GE(burst.skipped_, 10'000u - sim::Simulator::kMaxPollGap - 1);
+    EXPECT_EQ(burst.ticks_asleep_, 0u);
+    // Ticks at 1..1,000 and 11,000..12,000; the 9,999 between are skipped.
+    EXPECT_EQ(burst.real_ticks_, 2'001u);
+    EXPECT_EQ(burst.real_ticks_ + burst.skipped_, base_burst.real_ticks_);
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(fast.component_cycles()[i].busy,
+                base.component_cycles()[i].busy);
+      EXPECT_EQ(fast.component_cycles()[i].idle,
+                base.component_cycles()[i].idle);
+    }
     w = fast.warp_stats();
-    EXPECT_EQ(w.warps, 1u);
+    EXPECT_EQ(w.warps, 0u);  // the dense block is due every cycle
+    EXPECT_EQ(w.block_ticks, 12'000u + 2'001u);
   }
-  // The policy sees only poll results, so it repeats exactly.
+  // Scheduling reads only block state, never host time, so it repeats.
   EXPECT_EQ(warps[0].warps, warps[1].warps);
   EXPECT_EQ(warps[0].skipped_cycles, warps[1].skipped_cycles);
+  EXPECT_EQ(warps[0].block_ticks, warps[1].block_ticks);
+}
+
+/// Sleeps on kNeverWakes until poked; then works one unit per tick, busy
+/// while work remains.
+class Sleeper : public sim::Component {
+ public:
+  Sleeper() : sim::Component("sleeper") {}
+
+  void Poke(uint32_t units) { pending_ += units; }
+
+  void Tick(uint64_t now) override {
+    ++real_ticks_;
+    if (pending_ > 0) {
+      --pending_;
+      work_cycles_.push_back(now);
+    }
+  }
+  bool Idle() const override { return pending_ == 0; }
+  uint64_t NextWakeCycle(uint64_t now) const override {
+    return pending_ > 0 ? now + 1 : sim::kNeverWakes;
+  }
+  void SkipCycles(uint64_t now, uint64_t count) override {
+    (void)now;
+    skipped_ += count;
+  }
+
+  uint32_t pending_ = 0;
+  uint64_t real_ticks_ = 0;
+  uint64_t skipped_ = 0;
+  std::vector<uint64_t> work_cycles_;
+};
+
+/// Due every cycle; at cycle `at` it touches `target` and then pokes it.
+class Poker : public sim::Component {
+ public:
+  Poker(Sleeper* target, uint64_t at)
+      : sim::Component("poker"), target_(target), at_(at) {}
+
+  void Tick(uint64_t now) override {
+    if (now == at_) {
+      target_->Touch();
+      target_->Poke(3);
+    }
+  }
+  bool Idle() const override { return false; }
+
+  Sleeper* target_;
+  uint64_t at_;
+};
+
+struct TouchRun {
+  uint64_t sleeper_ticks = 0;  // real ticks + skipped cycles
+  uint64_t sleeper_real_ticks = 0;
+  std::vector<uint64_t> work_cycles;
+  std::vector<sim::Simulator::ComponentCycles> cycles;
+};
+
+/// Registers poker and sleeper in the given order, pokes at cycle 500 and
+/// runs 1,000 cycles.
+TouchRun RunTouch(bool event_driven, bool poker_first) {
+  sim::Simulator sim(event_driven ? EventDriven() : PerCycle());
+  Sleeper sleeper;
+  Poker poker(&sleeper, 500);
+  if (poker_first) {
+    sim.AddComponent(&poker);
+    sim.AddComponent(&sleeper);
+  } else {
+    sim.AddComponent(&sleeper);
+    sim.AddComponent(&poker);
+  }
+  sim.Step(1'000);
+  TouchRun out;
+  out.sleeper_ticks = sleeper.real_ticks_ + sleeper.skipped_;
+  out.sleeper_real_ticks = sleeper.real_ticks_;
+  out.work_cycles = sleeper.work_cycles_;
+  out.cycles = sim.component_cycles();
+  return out;
+}
+
+void ExpectTouchRunsMatch(const TouchRun& base, const TouchRun& event) {
+  EXPECT_EQ(base.sleeper_ticks, 1'000u);
+  EXPECT_EQ(event.sleeper_ticks, base.sleeper_ticks);
+  EXPECT_EQ(event.work_cycles, base.work_cycles);
+  ASSERT_EQ(event.cycles.size(), base.cycles.size());
+  for (size_t i = 0; i < base.cycles.size(); ++i) {
+    EXPECT_EQ(event.cycles[i].busy, base.cycles[i].busy);
+    EXPECT_EQ(event.cycles[i].idle, base.cycles[i].idle);
+  }
+  // The sleeper ticks only for its three units of work, never while the
+  // poker runs dense around it.
+  EXPECT_EQ(event.sleeper_real_ticks, 3u);
+}
+
+TEST(SimWarp, TouchBeforeTheTouchedBlocksTurnActsThisCycle) {
+  const TouchRun base = RunTouch(false, /*poker_first=*/true);
+  const TouchRun event = RunTouch(true, /*poker_first=*/true);
+  ExpectTouchRunsMatch(base, event);
+  EXPECT_EQ(event.work_cycles, (std::vector<uint64_t>{500, 501, 502}));
+}
+
+TEST(SimWarp, TouchAfterTheTouchedBlocksTurnActsNextCycle) {
+  const TouchRun base = RunTouch(false, /*poker_first=*/false);
+  const TouchRun event = RunTouch(true, /*poker_first=*/false);
+  ExpectTouchRunsMatch(base, event);
+  EXPECT_EQ(event.work_cycles, (std::vector<uint64_t>{501, 502, 503}));
 }
 
 // --- Engine differential runs ------------------------------------------
@@ -194,6 +325,8 @@ struct Outcome {
   std::string stats_json;
   uint64_t warps = 0;
   uint64_t skipped_cycles = 0;
+  uint64_t block_ticks = 0;
+  uint64_t blocks = 0;
   uint32_t fault_digest = 0;
 };
 
@@ -212,6 +345,10 @@ void ExpectIdentical(const Outcome& base, const Outcome& event) {
   // these workloads contain DRAM-quiescent spans).
   EXPECT_EQ(base.warps, 0u);
   EXPECT_GT(event.warps, 0u);
+  // Per-block gating engaged: some block slept through a cycle in which
+  // another one ticked.
+  EXPECT_LT(event.block_ticks,
+            event.blocks * (event.final_now - event.skipped_cycles));
 }
 
 Outcome Finish(core::BionicDb* engine, host::RunResult run) {
@@ -223,6 +360,8 @@ Outcome Finish(core::BionicDb* engine, host::RunResult run) {
   out.stats_json = reg.ToJson();
   out.warps = engine->simulator().warp_stats().warps;
   out.skipped_cycles = engine->simulator().warp_stats().skipped_cycles;
+  out.block_ticks = engine->simulator().warp_stats().block_ticks;
+  out.blocks = engine->simulator().components().size();
   return out;
 }
 
