@@ -1,26 +1,25 @@
-// Batched level-wise index traversal — intra- vs inter-operation
+// Batched level-wise skiplist traversal — intra- vs inter-operation
 // pipelining ablation (DESIGN.md section 17).
 //
 // The baseline coprocessor pipelines WITHIN an operation: each probe's
-// key fetch / bucket read / node walk overlap with other in-flight
-// probes, but every DRAM access pays the full closed-row latency. The
+// key fetch and tower hops overlap with other in-flight probes. The
 // batched mode pipelines ACROSS operations (the BonsaiKV argument):
-// probes are collected, sorted, and walked level by level, so same-page
-// accesses coalesce into DRAM row hits and each unique tower is fetched
-// once per batch.
+// probes are collected, sorted, and walked level by level, so each
+// unique tower is fetched once per batch. Both modes pay the same DRAM
+// price for every access, so what batching wins is structural: shared
+// towers (fewer reads) and batch-context concurrency.
 //
-// Legs, all self-enforced (the simulator is deterministic, so the
-// crossovers are stable facts about the model, not flaky thresholds):
+// Legs (the simulator is deterministic, so each self-check is a stable
+// fact about the model, not a flaky threshold):
 //  * dense point probes (UCSB batch-get shape, skiplist): batched must
-//    win by >= 1.5x index-ops/s at the largest batch size, swept over
-//    batch_size x mode;
-//  * long range scans (widened YCSB-E, skiplist): batched must win the
-//    longest-scan leg, swept over scan_len x mode — the scanner's
-//    next-hop row hits dominate;
-//  * batch_size=1 closed-loop tail latency: per-op must win (batching a
-//    single probe only adds collector and phase-barrier overhead);
-//  * simulator-mode determinism: a batched run's engine stats tree must be
-//    byte-identical across serial and event-driven.
+//    win by >= 1.5x index-ops/s at the largest batch size, and beat its
+//    own batches of one, swept over batch_size x mode;
+//  * long range scans (widened YCSB-E, skiplist): a measured table over
+//    scan_len x mode, with no floor — a scan's bottom-level hops are
+//    dependent reads in both modes, so the two stay level;
+//  * simulator-mode determinism: a batched skiplist run (KV searches
+//    mixed with inserts) must produce a byte-identical engine stats tree
+//    across serial and event-driven.
 #include <string>
 #include <vector>
 
@@ -45,8 +44,8 @@ void Check(bool ok, const std::string& what) {
   }
 }
 
-/// Aggregates the per-pipeline batch counters
-/// (workers/<w>/coproc/{hash,skiplist}/batch/*) into the run-level
+/// Aggregates the skiplist pipelines' batch counters
+/// (workers/<w>/coproc/skiplist/batch/*) into the run-level
 /// run/index/batch/* block the report validator checks.
 void RecordBatchCounters(StatsRegistry* run, core::BionicDb* engine) {
   StatsRegistry reg;
@@ -64,9 +63,6 @@ void RecordBatchCounters(StatsRegistry* run, core::BionicDb* engine) {
   };
   StatsScope scope(run, "run/index/batch");
   scope.SetCounter("batches_flushed", sum_suffix("batches_flushed"));
-  scope.SetCounter("burst_total_accesses", sum_suffix("burst_total_accesses"));
-  scope.SetCounter("burst_coalesced_accesses",
-                   sum_suffix("burst_coalesced_accesses"));
   Summary probes;
   const std::string suf = "/batch/probes_per_batch";
   for (const auto& [key, s] : reg.summaries()) {
@@ -83,9 +79,9 @@ core::EngineOptions MakeOpts(const BenchArgs& args, bool batched,
   core::EngineOptions opts;
   opts.n_workers = 4;
   args.ApplyMode(&opts);
-  opts.coproc.traversal = batched ? index::TraversalMode::kBatched
-                                  : index::TraversalMode::kPerOp;
-  opts.coproc.batch_size = batch_size;
+  opts.coproc.skiplist.traversal = batched ? index::TraversalMode::kBatched
+                                           : index::TraversalMode::kPerOp;
+  opts.coproc.skiplist.batch_size = batch_size;
   return opts;
 }
 
@@ -96,10 +92,9 @@ core::EngineOptions MakeOpts(const BenchArgs& args, bool batched,
 // budget, not part of the ablation) and an identical workload: every
 // transaction bulk-searches 60 SEQUENTIAL preloaded keys from a random
 // window. Per-op traversal walks a full tower path per probe — ~log(n)
-// dependent closed-row DRAM reads each. The batched walk sorts the
-// probes, descends level by level, and fetches each tower once per
-// batch, so the shared path prefix of 16 adjacent keys is paid once and
-// the sorted bottom-level hops coalesce into DRAM row hits.
+// dependent DRAM reads each. The batched walk sorts the probes, descends
+// level by level, and fetches each tower once per batch, so the shared
+// path prefix of 16 adjacent keys is paid once.
 
 double RunDenseProbe(const BenchArgs& args, bool batched,
                      uint32_t batch_size, const std::string& label) {
@@ -173,9 +168,9 @@ void DensePointLeg(const BenchArgs& args) {
 //
 // Scan lengths are drawn per transaction from [scan_len/2, scan_len]
 // through the Scan op's scan_reg override. The scanner walks the
-// bottom-level list serially, so its hop latency bounds throughput;
-// bulk-loaded sequential keys make consecutive tuples address-adjacent
-// and the batched scanner's next hop a DRAM row hit.
+// bottom-level list serially, one dependent full-latency read per hop,
+// so its hop latency bounds throughput in both modes; batching only
+// shortens the descent to the scan's first row.
 
 double RunScan(const BenchArgs& args, bool batched, uint32_t scan_len,
                const std::string& label) {
@@ -229,57 +224,19 @@ void ScanLeg(const BenchArgs& args) {
                   TablePrinter::Num(perop > 0 ? batched / perop : 0, 2)});
   }
   table.Print();
-  const double ratio = perop_long > 0 ? batched_long / perop_long : 0;
-  std::printf("long-scan speedup at len=%u: %.2fx (floor 1.20x)\n",
-              scan_lens.back(), ratio);
-  Check(ratio >= 1.2, "batched wins the longest-scan leg by >=1.2x");
+  std::printf("long-scan ratio at len=%u: %.2fx (measured, no floor)\n",
+              scan_lens.back(),
+              perop_long > 0 ? batched_long / perop_long : 0);
 }
 
 // ---------------------------------------------------------------------------
-// batch_size=1 closed-loop tail latency: collecting a batch of one buys
-// nothing and costs admission + phase-barrier cycles, so per-op traversal
-// must hold the p99 edge. One client per worker isolates per-probe
-// latency from queueing.
-
-void TailLatencyLeg(const BenchArgs& args) {
-  bench::PrintHeader("batch_traversal C",
-                     "batch=1 closed-loop latency: per-op must win the tail");
-  double p99[2] = {0, 0};
-  for (int batched = 0; batched < 2; ++batched) {
-    core::EngineOptions opts = MakeOpts(args, batched != 0, 1);
-    core::BionicDb engine(opts);
-    workload::YcsbOptions yopts;
-    yopts.mode = workload::YcsbOptions::Mode::kBatchGet;
-    yopts.records_per_partition = args.quick ? 2'000 : 20'000;
-    yopts.payload_len = 64;
-    workload::Ycsb ycsb(&engine, yopts);
-    if (!ycsb.Setup().ok()) {
-      Check(false, "ycsb setup: latency leg");
-      return;
-    }
-    Rng rng(args.seed);
-    host::ClosedLoopOptions copts;
-    copts.inflight_per_worker = 1;
-    copts.txns_per_worker = args.quick ? 100 : 400;
-    auto factory = ycsb.Factory(&rng);
-    auto r = host::RunClosedLoop(&engine, factory, copts);
-    p99[batched] = r.latency_cycles.Quantile(0.99);
-    g_report->AddEngineRun(
-        std::string("latency/batch=1/") + (batched != 0 ? "batched" : "perop"),
-        &engine, r);
-  }
-  std::printf("p99 latency (cycles): per-op %.0f, batched %.0f\n", p99[0],
-              p99[1]);
-  Check(p99[0] <= p99[1], "per-op wins batch=1 tail latency");
-}
-
-// ---------------------------------------------------------------------------
-// Determinism: one batched update-mix configuration, both simulator modes,
-// byte-identical engine stats trees (the batch units are part of the
+// Determinism: one batched skiplist configuration — framed dense KV
+// searches mixed with per-op inserts — in both simulator modes, with
+// byte-identical engine stats trees (the batch unit is part of the
 // determinism envelope like every other pipeline).
 
 void ModeIdentityLeg(const BenchArgs& args) {
-  bench::PrintHeader("batch_traversal D",
+  bench::PrintHeader("batch_traversal C",
                      "Batched runs across serial/event simulators");
   struct Outcome {
     host::RunResult result;
@@ -288,22 +245,21 @@ void ModeIdentityLeg(const BenchArgs& args) {
     uint64_t warps = 0;
   };
   auto run_mode = [&args](BenchArgs::SimMode mode, bool record) {
-    core::EngineOptions opts;
-    opts.n_workers = 4;
-    opts.coproc.traversal = index::TraversalMode::kBatched;
-    opts.coproc.batch_size = args.batch ? args.batch : 8;
     BenchArgs mode_args = args;
     mode_args.mode = mode;
-    mode_args.ApplyMode(&opts);
+    core::EngineOptions opts =
+        MakeOpts(mode_args, /*batched=*/true, args.batch ? args.batch : 8);
     core::BionicDb engine(opts);
-    workload::YcsbOptions yopts;
-    yopts.mode = workload::YcsbOptions::Mode::kBatchPut;
-    yopts.records_per_partition = args.quick ? 2'000 : 10'000;
-    yopts.payload_len = 64;
-    workload::Ycsb ycsb(&engine, yopts);
+    workload::KvOptions kopts;
+    kopts.index = db::IndexKind::kSkiplist;
+    kopts.ops_per_txn = 16;
+    kopts.preload_per_partition = args.quick ? 2'000 : 10'000;
+    kopts.dense = true;
+    kopts.batch_framing = true;
+    workload::KvBench kv(&engine, kopts);
     Outcome out;
-    if (!ycsb.Setup().ok()) {
-      Check(false, "ycsb setup: mode identity leg");
+    if (!kv.Setup().ok()) {
+      Check(false, "kv setup: mode identity leg");
       return out;
     }
     Rng rng(args.seed);
@@ -311,7 +267,10 @@ void ModeIdentityLeg(const BenchArgs& args) {
     host::TxnList list;
     for (uint32_t w = 0; w < opts.n_workers; ++w) {
       for (uint64_t i = 0; i < txns; ++i) {
-        list.emplace_back(w, ycsb.MakeTxn(&rng, w));
+        // One insert transaction in three, at random keys: inserts take
+        // the staged per-op path beside the batches.
+        list.emplace_back(w, i % 3 == 2 ? kv.MakeInsertTxn(w, false)
+                                        : kv.MakeSearchTxn(&rng, w));
       }
     }
     out.result = host::RunToCompletion(&engine, list);
@@ -322,7 +281,7 @@ void ModeIdentityLeg(const BenchArgs& args) {
     out.stats_json = reg.ToJson();
     if (record) {
       StatsRegistry& run =
-          g_report->AddEngineRun("modes/batched_put", &engine, out.result);
+          g_report->AddEngineRun("modes/batched_kv_mix", &engine, out.result);
       RecordBatchCounters(&run, &engine);
     }
     return out;
@@ -352,7 +311,6 @@ int main(int argc, char** argv) {
   bionicdb::g_report = &report;
   bionicdb::DensePointLeg(args);
   bionicdb::ScanLeg(args);
-  bionicdb::TailLatencyLeg(args);
   bionicdb::ModeIdentityLeg(args);
   report.WriteFile();
   if (bionicdb::g_failures != 0) {

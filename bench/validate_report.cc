@@ -15,8 +15,8 @@
 //    run/shed, with shed <= submitted, goodput <= offered load, and
 //    submitted == committed + failed + shed;
 //  * every batched-traversal run (marked by run/index/batch/
-//    batches_flushed) carries the burst coalescing counters and the
-//    probes-per-batch median, with coalesced <= total accesses;
+//    batches_flushed) carries the probes-per-batch median, at least one
+//    probe per flushed batch;
 //  * every CC-diversity run (label "cc/..." or "sw/...") carries the
 //    per-scheme counters (run/cc/scheme|retries|aborts|conservation_ok),
 //    conservation holds, aborts never exceed attempts, and MVCC runs never
@@ -148,35 +148,22 @@ bool CheckOpenLoopRun(const std::string& path, const std::string& label,
 }
 
 /// Batched-traversal runs (identified by run/index/batch/batches_flushed,
-/// emitted only for TraversalMode::kBatched engines) must carry the burst
-/// coalescing counters and the probes-per-batch median, and the burst
-/// arithmetic must close: a row hit is a subset of the issued accesses,
-/// so coalesced can never exceed total, and a run that flushed batches
-/// must have collected at least one probe per batch.
+/// emitted only for TraversalMode::kBatched engines) must carry the
+/// probes-per-batch median, and a run that flushed batches must have
+/// collected at least one probe per batch.
 bool CheckBatchRun(const std::string& path, const std::string& label,
                    const json::Value& stats) {
   double flushed;
   if (!Num(stats, "run/index/batch/batches_flushed", &flushed)) {
     return true;  // per-op run: no batch block
   }
-  double total, coalesced, p50;
-  if (!Num(stats, "run/index/batch/burst_total_accesses", &total) ||
-      !Num(stats, "run/index/batch/burst_coalesced_accesses", &coalesced) ||
-      !Num(stats, "run/index/batch/probes_per_batch_p50", &p50)) {
+  double p50;
+  if (!Num(stats, "run/index/batch/probes_per_batch_p50", &p50)) {
     return Fail(path, "batched run '" + label +
-                          "': missing run/index/batch/"
-                          "burst_total_accesses|burst_coalesced_accesses|"
-                          "probes_per_batch_p50");
-  }
-  char buf[200];
-  if (coalesced > total) {
-    std::snprintf(buf, sizeof buf,
-                  "batched run '%s': burst_coalesced_accesses %.0f exceeds "
-                  "burst_total_accesses %.0f",
-                  label.c_str(), coalesced, total);
-    return Fail(path, buf);
+                          "': missing run/index/batch/probes_per_batch_p50");
   }
   if (flushed > 0 && p50 < 1) {
+    char buf[200];
     std::snprintf(buf, sizeof buf,
                   "batched run '%s': %.0f batches flushed but "
                   "probes_per_batch_p50 %.2f < 1",

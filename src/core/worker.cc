@@ -163,37 +163,8 @@ void PartitionWorker::Tick(uint64_t cycle) {
 
   coproc_->Tick(cycle);
   softcore_->Tick(cycle);
-
-  // Charge this cycle to exactly one breakdown bucket (see CycleBreakdown).
-  ++cycles_.total;
-  switch (softcore_->wait_kind(cycle)) {
-    case Softcore::WaitKind::kBusy:
-      ++cycles_.busy;
-      break;
-    case Softcore::WaitKind::kDramWait:
-      ++cycles_.dram_stall;
-      break;
-    case Softcore::WaitKind::kDispatchBlocked:
-      ++cycles_.backpressure;
-      break;
-    case Softcore::WaitKind::kInterchipWait:
-      ++cycles_.interchip_stall;
-      break;
-    case Softcore::WaitKind::kCpWait:
-    case Softcore::WaitKind::kIdle:
-      // The core is not the limiter; attribute the cycle to whatever the
-      // coprocessor was doing (or failing to do) on the core's behalf.
-      if (coproc_->hazard_stalled()) {
-        ++cycles_.hazard_block;
-      } else if (coproc_->dram_stalled()) {
-        ++cycles_.dram_stall;
-      } else if (!coproc_->Idle()) {
-        ++cycles_.busy;
-      } else {
-        ++cycles_.idle;
-      }
-      break;
-  }
+  // Charge this cycle to exactly one breakdown bucket.
+  ChargeCycles(softcore_->wait_kind(cycle), 1);
 }
 
 bool PartitionWorker::Idle() const {
@@ -236,9 +207,9 @@ bool PartitionWorker::DispatchSpinsOnFullCoproc(uint64_t now) const {
 }
 
 void PartitionWorker::SkipCycles(uint64_t now, uint64_t count) {
-  cycles_.total += count;
   if (now + 1 < frozen_until_) {
     // Sub-blocks do not tick while frozen, so they get no skip either.
+    cycles_.total += count;
     cycles_.frozen += count;
     return;
   }
@@ -248,32 +219,7 @@ void PartitionWorker::SkipCycles(uint64_t now, uint64_t count) {
   // span-steady stall flags a real tick would have produced.
   coproc_->SkipCycles(now, count);
   softcore_->SkipCycles(now, count);
-  switch (softcore_->wait_kind(now + 1)) {
-    case Softcore::WaitKind::kBusy:
-      cycles_.busy += count;
-      break;
-    case Softcore::WaitKind::kDramWait:
-      cycles_.dram_stall += count;
-      break;
-    case Softcore::WaitKind::kDispatchBlocked:
-      cycles_.backpressure += count;
-      break;
-    case Softcore::WaitKind::kInterchipWait:
-      cycles_.interchip_stall += count;
-      break;
-    case Softcore::WaitKind::kCpWait:
-    case Softcore::WaitKind::kIdle:
-      if (coproc_->hazard_stalled()) {
-        cycles_.hazard_block += count;
-      } else if (coproc_->dram_stalled()) {
-        cycles_.dram_stall += count;
-      } else if (!coproc_->Idle()) {
-        cycles_.busy += count;
-      } else {
-        cycles_.idle += count;
-      }
-      break;
-  }
+  ChargeCycles(softcore_->wait_kind(now + 1), count);
 }
 
 bool PartitionWorker::HandleCommitReq(uint64_t cycle,

@@ -116,6 +116,40 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
   /// coprocessor, at its in-flight cap, must reject: a quiescent spin.
   bool DispatchSpinsOnFullCoproc(uint64_t now) const;
 
+  /// Charges `count` cycles to the one breakdown bucket that `kind` and
+  /// the coprocessor's stall flags select (see CycleBreakdown).
+  void ChargeCycles(Softcore::WaitKind kind, uint64_t count) {
+    cycles_.total += count;
+    switch (kind) {
+      case Softcore::WaitKind::kBusy:
+        cycles_.busy += count;
+        break;
+      case Softcore::WaitKind::kDramWait:
+        cycles_.dram_stall += count;
+        break;
+      case Softcore::WaitKind::kDispatchBlocked:
+        cycles_.backpressure += count;
+        break;
+      case Softcore::WaitKind::kInterchipWait:
+        cycles_.interchip_stall += count;
+        break;
+      case Softcore::WaitKind::kCpWait:
+      case Softcore::WaitKind::kIdle:
+        // The core is not the limiter; attribute the cycles to whatever
+        // the coprocessor was doing (or failing to do) on its behalf.
+        if (coproc_->hazard_stalled()) {
+          cycles_.hazard_block += count;
+        } else if (coproc_->dram_stalled()) {
+          cycles_.dram_stall += count;
+        } else if (!coproc_->Idle()) {
+          cycles_.busy += count;
+        } else {
+          cycles_.idle += count;
+        }
+        break;
+    }
+  }
+
   /// Executes one inbound kMemOp envelope (remote LOAD/STORE/commit
   /// publication against this partition's arena) on this worker's DRAM
   /// lane. Returns false when a LOAD hit DRAM backpressure — the caller

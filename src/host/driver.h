@@ -119,16 +119,7 @@ ClosedLoopResult RunClosedLoop(core::BionicDb* engine,
 /// the count-weighted merge (Summary::MergeFrom) of the per-chip summaries
 /// — merging the digests, never averaging per-chip quantiles — and the
 /// cluster totals are the sums of the per-chip rows, counted exactly once.
-struct ClusterRunResult {
-  uint64_t submitted = 0;
-  uint64_t committed = 0;
-  uint64_t failed = 0;
-  uint64_t retries = 0;
-  uint64_t cycles = 0;
-  double tps = 0;
-  double wall_seconds = 0;
-  Summary latency_cycles;
-
+struct ClusterRunResult : ClosedLoopResult {
   struct ChipResult {
     uint64_t submitted = 0;
     uint64_t committed = 0;
@@ -137,10 +128,6 @@ struct ClusterRunResult {
     Summary latency_cycles;
   };
   std::vector<ChipResult> chips;
-
-  double SimCyclesPerSecond() const {
-    return wall_seconds > 0 ? double(cycles) / wall_seconds : 0;
-  }
 };
 
 /// RunClosedLoop for a sharded engine: `workers_per_chip` groups the

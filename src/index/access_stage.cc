@@ -8,10 +8,12 @@
 namespace bionicdb::index {
 
 AccessStage::AccessStage(sim::DramMemory* dram, uint32_t pool_size,
-                         const Settings& settings, ResultQueue* results)
+                         cc::CcUnit* cc_unit, ResultQueue* results,
+                         const Batching& batching)
     : dram_(dram),
-      settings_(settings),
+      cc_unit_(cc_unit),
       results_(results),
+      batching_(batching),
       slots_(pool_size) {
   free_slots_.reserve(pool_size);
   for (uint32_t i = 0; i < pool_size; ++i) {
@@ -20,12 +22,12 @@ AccessStage::AccessStage(sim::DramMemory* dram, uint32_t pool_size,
   if (batched()) {
     // A batch can never fill past the slot pool, and at least one probe
     // per batch keeps the collector well-defined.
-    settings_.batch_size =
-        std::max(1u, std::min(settings_.batch_size, pool_size));
+    batching_.batch_size =
+        std::max(1u, std::min(batching_.batch_size, pool_size));
     // Enough batch contexts for the collect/keys/walk phases to overlap
     // (inter-op pipelining); the slot pool is the real capacity.
     batches_.resize(4);
-    for (Batch& b : batches_) b.members.reserve(settings_.batch_size);
+    for (Batch& b : batches_) b.members.reserve(batching_.batch_size);
   }
 }
 
@@ -111,11 +113,9 @@ uint32_t AccessStage::AdmitProbe(uint64_t now, sim::MemResponseQueue* keys) {
     if (collect_ == kNone) return kNone;
   }
   Batch& b = batches_[collect_];
-  // The key read overlaps collection; consecutive keys of one framed
-  // transaction batch sit in the same block, so these already coalesce.
+  // The key read overlaps collection.
   uint32_t slot = AllocSlot(pending_in_.front());
-  if (!IssueBurst(collect_, now, op(slot).key_addr, keys, slot,
-                  /*snapshot_words=*/0)) {
+  if (!dram_->Issue(now, op(slot).key_addr, false, keys, slot)) {
     FreeSlot(slot);
     fc_keyfetch_dram_stall_.Add();
     tick_dram_stall_ = true;
@@ -126,12 +126,12 @@ uint32_t AccessStage::AdmitProbe(uint64_t now, sim::MemResponseQueue* keys) {
   slots_[slot].batch = collect_;
   if (b.members.empty()) {
     b.phase = Batch::Phase::kCollect;
-    b.flush_deadline = now + settings_.batch_timeout_cycles;
+    b.flush_deadline = now + batching_.batch_timeout_cycles;
   }
   b.members.push_back(slot);
   ++b.outstanding;
   ++b.live;
-  if (b.members.size() >= settings_.batch_size) {
+  if (b.members.size() >= batching_.batch_size) {
     ++flush_full_;
     FlushCollect();
   } else if (op(slot).batch_flags & isa::kBatchFlagEnd) {
@@ -149,21 +149,12 @@ void AccessStage::FlushCollect() {
   collect_ = kNone;
 }
 
-bool AccessStage::IssueBurst(uint32_t b, uint64_t now, sim::Addr addr,
-                             sim::MemResponseQueue* sink, uint64_t cookie,
-                             uint32_t snapshot_words) {
-  return batches_[b].burst.Issue(dram_, now, addr, /*is_write=*/false, sink,
-                                 cookie, snapshot_words, &burst_total_,
-                                 &burst_coalesced_);
-}
-
 void AccessStage::RetireBatch(uint32_t b) {
   Batch& batch = batches_[b];
   batch.phase = Batch::Phase::kIdle;
   batch.members.clear();
   batch.outstanding = 0;
   batch.live = 0;
-  batch.burst.Reset();
 }
 
 void AccessStage::Emit(uint32_t slot, isa::CpStatus status, uint64_t payload,
@@ -214,19 +205,19 @@ void AccessStage::FinishAccess(uint64_t now, uint32_t slot,
     default:
       break;
   }
-  cc::CcUnit* unit = settings_.cc_unit;
-  const cc::CcUnit::AccessResult ar = unit->CheckAccess(&t, op(slot).ts, mode);
+  const cc::CcUnit::AccessResult ar =
+      cc_unit_->CheckAccess(&t, op(slot).ts, mode);
   // Version-chain walks / snapshot copies consume DRAM bandwidth on this
   // partition's lane; charge them as posted bursts.
   PostWrite(now, tuple_addr, ar.charge_bursts);
   if (ar.vis.header_dirtied) PostWrite(now, tuple_addr);
   if (ar.vis.status != isa::CpStatus::kOk) {
-    if (ar.vis.dirty_conflict && unit->dirty_wait_cycles() > 0) {
+    if (ar.vis.dirty_conflict && cc_unit_->dirty_wait_cycles() > 0) {
       // Wait-on-dirty: park until the uncommitted writer publishes or
       // rolls back; a timeout falls back to the blind reject.
       counters_.Add("dirty_waits");
       dirty_waiters_.push_back(
-          DirtyWaiter{slot, tuple_addr, now + unit->dirty_wait_cycles(),
+          DirtyWaiter{slot, tuple_addr, now + cc_unit_->dirty_wait_cycles(),
                       now + kDirtyPollInterval});
       return;
     }
@@ -260,7 +251,7 @@ void AccessStage::TickDirtyWaiters(uint64_t now) {
       // The mark's owner can also change while parked (see
       // cc::CcUnit::WaitFutile): retry so CheckAccess can commit-order the
       // access against the new owner instead of waiting out the deadline.
-      if (!wake && settings_.cc_unit->WaitFutile(w.tuple, op(w.slot).ts)) {
+      if (!wake && cc_unit_->WaitFutile(w.tuple, op(w.slot).ts)) {
         counters_.Add("dirty_wait_owner_wakeups");
         wake = true;
       }
@@ -331,8 +322,6 @@ void AccessStage::CollectStats(StatsScope scope) const {
     b.SetCounter("flush_full", flush_full_);
     b.SetCounter("flush_timeout", flush_timeout_);
     b.SetCounter("flush_batch_end", flush_end_);
-    b.SetCounter("burst_total_accesses", burst_total_);
-    b.SetCounter("burst_coalesced_accesses", burst_coalesced_);
     b.SetSummary("probes_per_batch", probes_per_batch_);
   }
 }

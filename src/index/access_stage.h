@@ -11,9 +11,9 @@
 //  * result emission and posted (fire-and-forget) DRAM writes;
 //  * per-tick accounting: busy cycles, occupancy and the DRAM / hazard
 //    stall flags the worker samples for its cycle breakdown;
-//  * the kBatched collector (DESIGN.md section 17): batch contexts, probe
-//    admission with the key read issued into a burst train, and the full /
-//    batch-end / timeout flush;
+//  * the kBatched collector (DESIGN.md section 17), used by the skiplist
+//    only: batch contexts, probe admission with its key read, and the
+//    full / batch-end / timeout flush;
 //  * the terminal CC step, FinishAccess, which asks the partition's
 //    cc::CcUnit about the matched tuple and parks a dirty conflict on the
 //    dirty-waiter list for as long as the unit's wait budget allows.
@@ -41,13 +41,14 @@ namespace bionicdb::index {
 
 class AccessStage {
  public:
-  /// Coprocessor-wide knobs every pipeline's stage reads (the base of
-  /// IndexCoprocessor::Config).
-  struct Settings {
-    /// Traversal strategy (DESIGN.md section 17). kBatched collects
-    /// non-insert probes into batches whose DRAM accesses coalesce into
-    /// row-hit bursts; kPerOp is the paper pipeline. Inserts always take
-    /// the per-op path (they mutate the structure under hazard locks).
+  /// The kBatched collector's knobs (DESIGN.md section 17). Only the
+  /// skiplist pipeline batches, so only its Config carries them; the hash
+  /// pipeline's stage keeps the defaults and admits every op per-op.
+  struct Batching {
+    /// Traversal strategy. kBatched collects every non-insert op into
+    /// level-wise batches; kPerOp is the paper pipeline. Inserts always
+    /// take the per-op path (they mutate the structure under hazard
+    /// locks).
     TraversalMode traversal = TraversalMode::kPerOp;
     /// kBatched: probes per batch; the collector flushes when full.
     uint32_t batch_size = 8;
@@ -55,17 +56,14 @@ class AccessStage {
     /// probe arrived. Bounds tail latency and guarantees progress when the
     /// softcore holds its commit barrier behind a collected probe.
     uint64_t batch_timeout_cycles = 128;
-    /// Partition-local CC unit (engine-owned, required). Every terminal
-    /// visibility check goes through cc::CcUnit::CheckAccess.
-    cc::CcUnit* cc_unit = nullptr;
   };
 
   /// No slot / no batch.
   static constexpr uint32_t kNone = UINT32_MAX;
 
   /// One batch context (kBatched). Four contexts overlap so a flushed
-  /// batch walks the structure while the next one collects. The pipeline
-  /// keeps the structure-specific half of each context alongside.
+  /// batch walks the structure while the next one collects. The skiplist
+  /// pipeline keeps its walk's half of each context alongside.
   struct Batch {
     /// kWalk covers every structure level; the pipeline tracks its own
     /// position inside the walk.
@@ -75,11 +73,16 @@ class AccessStage {
     uint32_t outstanding = 0;       // DRAM reads in flight for this batch
     uint32_t live = 0;              // members still in batch custody
     uint64_t flush_deadline = 0;
-    BurstIssuer burst;
   };
 
-  AccessStage(sim::DramMemory* dram, uint32_t pool_size,
-              const Settings& settings, ResultQueue* results);
+  /// Every terminal visibility check goes through `cc_unit`, the
+  /// partition-local CC unit (engine-owned, required).
+  AccessStage(sim::DramMemory* dram, uint32_t pool_size, cc::CcUnit* cc_unit,
+              ResultQueue* results, const Batching& batching);
+  /// A per-op stage (the hash pipeline's).
+  AccessStage(sim::DramMemory* dram, uint32_t pool_size, cc::CcUnit* cc_unit,
+              ResultQueue* results)
+      : AccessStage(dram, pool_size, cc_unit, results, Batching()) {}
   // FastCounters (here and in the owning pipeline) point into counters_.
   AccessStage(const AccessStage&) = delete;
   AccessStage& operator=(const AccessStage&) = delete;
@@ -105,7 +108,7 @@ class AccessStage {
   /// landing in `probe_keys`. Returns the new slot (kNone when nothing was
   /// admitted), whose walk state the pipeline must reset.
   uint32_t Admit(uint64_t now, sim::MemResponseQueue* op_keys,
-                 sim::MemResponseQueue* probe_keys);
+                 sim::MemResponseQueue* probe_keys = nullptr);
 
   /// Hazard locks (BRAM lock table). Lock takes `key` for `slot` when it
   /// is free and records it, so FreeSlot releases it.
@@ -143,24 +146,13 @@ class AccessStage {
   // --- kBatched collector -----------------------------------------------
 
   bool batched() const {
-    return settings_.traversal == TraversalMode::kBatched;
+    return batching_.traversal == TraversalMode::kBatched;
   }
-  uint32_t batch_size() const { return settings_.batch_size; }
   uint32_t batch_count() const { return uint32_t(batches_.size()); }
   Batch& batch(uint32_t b) { return batches_[b]; }
   const Batch& batch(uint32_t b) const { return batches_[b]; }
   /// The batch `slot` was admitted into (kNone for per-op slots).
   uint32_t batch_of(uint32_t slot) const { return slots_[slot].batch; }
-  /// Issues a read through batch `b`'s burst train, counting the burst
-  /// totals. False on DRAM backpressure.
-  bool IssueBurst(uint32_t b, uint64_t now, sim::Addr addr,
-                  sim::MemResponseQueue* sink, uint64_t cookie,
-                  uint32_t snapshot_words);
-  /// Counts a batched-mode access issued outside a burst train.
-  void CountBurst(bool coalesced) {
-    ++burst_total_;
-    if (coalesced) ++burst_coalesced_;
-  }
   void RetireBatch(uint32_t b);
 
   // --- Per-tick accounting ----------------------------------------------
@@ -228,8 +220,9 @@ class AccessStage {
   void FlushCollect();
 
   sim::DramMemory* dram_;
-  Settings settings_;
+  cc::CcUnit* cc_unit_;
   ResultQueue* results_;
+  Batching batching_;
 
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
@@ -246,8 +239,6 @@ class AccessStage {
   uint64_t flush_full_ = 0;
   uint64_t flush_timeout_ = 0;
   uint64_t flush_end_ = 0;
-  uint64_t burst_total_ = 0;
-  uint64_t burst_coalesced_ = 0;
   Summary probes_per_batch_;
 
   CounterSet counters_;

@@ -10,10 +10,10 @@ IndexCoprocessor::IndexCoprocessor(db::Database* db,
       db_(db),
       partition_(partition),
       config_(config),
-      hash_(std::make_unique<HashPipeline>(db, partition, config.hash, config,
-                                           &results_)),
+      hash_(std::make_unique<HashPipeline>(db, partition, config.hash,
+                                           config.cc_unit, &results_)),
       skiplist_(std::make_unique<SkiplistPipeline>(
-          db, partition, config.skiplist, config, &results_)) {}
+          db, partition, config.skiplist, config.cc_unit, &results_)) {}
 
 bool IndexCoprocessor::Submit(const comm::Envelope& env) {
   if (inflight() >= config_.max_inflight) {

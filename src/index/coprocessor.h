@@ -7,8 +7,9 @@
 // Foreground requests (local softcore) and background requests (remote
 // workers, via the on-chip channels) overlap freely inside the pipelines.
 // Each pipeline owns an access stage (index/access_stage.h) holding its
-// slot pool, batch collector and terminal CC step; the coprocessor reaches
-// admission, in-flight counts and stall flags through it.
+// slot pool and terminal CC step (and, for the skiplist, the batch
+// collector); the coprocessor reaches admission, in-flight counts and
+// stall flags through it.
 #ifndef BIONICDB_INDEX_COPROCESSOR_H_
 #define BIONICDB_INDEX_COPROCESSOR_H_
 
@@ -27,9 +28,10 @@ namespace bionicdb::index {
 
 class IndexCoprocessor : public sim::Component {
  public:
-  /// The traversal strategy, batch collector knobs and CC unit
-  /// (AccessStage::Settings) apply to both pipelines.
-  struct Config : AccessStage::Settings {
+  struct Config {
+    /// Partition-local CC unit (engine-owned, required). Both pipelines'
+    /// terminal visibility checks go through cc::CcUnit::CheckAccess.
+    cc::CcUnit* cc_unit = nullptr;
     uint32_t max_inflight = 16;
     HashPipeline::Config hash;
     SkiplistPipeline::Config skiplist;

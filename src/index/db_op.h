@@ -26,51 +26,21 @@
 
 #include "comm/envelope.h"
 #include "sim/arena.h"
-#include "sim/memory.h"
 
 namespace bionicdb::index {
 
-/// How a pipeline turns admitted probes into DRAM traffic.
+/// How the skiplist pipeline turns admitted probes into DRAM traffic
+/// (the hash pipeline always walks per-op).
 ///
-///  * kPerOp — the classic paper pipelines: each probe traverses on its
-///    own, one random DRAM access per bucket/tower hop (sections 4.4.1/2).
+///  * kPerOp — the classic paper pipeline: each probe traverses on its
+///    own, one random DRAM access per tower hop (section 4.4.2).
 ///  * kBatched — a batch collector accumulates up to `batch_size` probes
-///    (bounded by `batch_timeout_cycles`), sorts them by bucket (hash) or
-///    key (skiplist), and walks them level-wise so same-row accesses
-///    coalesce into sequential bursts charged at the DRAM row-hit cost.
-///    Visibility/CC is still checked per tuple (CcUnit::CheckAccess), and
-///    results are byte-identical to kPerOp for the same input set.
+///    (bounded by `batch_timeout_cycles`), sorts them by key and walks
+///    them level-wise, fetching each tower once per batch. Every access
+///    pays the same DRAM price as in kPerOp. Visibility/CC is still
+///    checked per tuple (CcUnit::CheckAccess), and results are
+///    byte-identical to kPerOp for the same input set.
 enum class TraversalMode : uint8_t { kPerOp = 0, kBatched = 1 };
-
-/// The burst-issuing DRAM path of the batched traversal units: tracks the
-/// previous address issued in the current burst train and charges a
-/// follow-up access in the same DRAM row at the row-hit cost. The caller
-/// resets the cursor at each phase boundary (a new sorted address train).
-class BurstIssuer {
- public:
-  void Reset() { last_ = sim::kNullAddr; }
-
-  /// Issues a read/write like DramMemory::Issue; on success the cursor
-  /// advances and `*total` (and `*coalesced` for row hits) is bumped.
-  bool Issue(sim::DramMemory* dram, uint64_t now, sim::Addr addr,
-             bool is_write, sim::MemResponseQueue* sink, uint64_t cookie,
-             uint32_t snapshot_words, uint64_t* total, uint64_t* coalesced) {
-    const bool row_hit = last_ != sim::kNullAddr && dram->SameRow(last_, addr);
-    const bool ok =
-        row_hit
-            ? dram->IssueRowHit(now, addr, is_write, sink, cookie,
-                                snapshot_words)
-            : dram->Issue(now, addr, is_write, sink, cookie, snapshot_words);
-    if (!ok) return false;
-    last_ = addr;
-    ++*total;
-    if (row_hit) ++*coalesced;
-    return true;
-  }
-
- private:
-  sim::Addr last_ = sim::kNullAddr;
-};
 
 /// Completed-result staging shared by the hash and skiplist pipelines,
 /// drained by the worker each tick (one-cycle result-routing latency, as in

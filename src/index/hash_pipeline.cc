@@ -1,26 +1,20 @@
 #include "index/hash_pipeline.h"
 
-#include <algorithm>
-
 #include "db/hash_layout.h"
 #include "db/tuple.h"
 
 namespace bionicdb::index {
 
 HashPipeline::HashPipeline(db::Database* db, db::PartitionId partition,
-                           Config config,
-                           const AccessStage::Settings& settings,
+                           Config config, cc::CcUnit* cc_unit,
                            ResultQueue* results)
     : db_(db),
       dram_(db->dram()),
       partition_(partition),
       config_(config),
-      stage_(db->dram(), config.pool_size, settings, results),
+      stage_(db->dram(), config.pool_size, cc_unit, results),
       pool_(config.pool_size),
-      traverse_units_(config.n_traverse_units),
-      walks_(stage_.batch_count()) {
-  for (BatchWalk& w : walks_) w.node_members.reserve(stage_.batch_size());
-}
+      traverse_units_(config.n_traverse_units) {}
 
 void HashPipeline::Tick(uint64_t now) {
   if (!stage_.BeginTick()) return;
@@ -33,10 +27,7 @@ void HashPipeline::Tick(uint64_t now) {
   TickHeadFetch(now);
   TickInstall(now);
   TickHash(now);
-  // Inserts always flow KeyFetch -> Hash -> Install; under kBatched the
-  // batch walk replaces the search-side HeadFetch/KeyComp flow.
-  if (stage_.batched()) TickBatchExec(now);
-  uint32_t slot = stage_.Admit(now, &hash_resp_, &batch_key_resp_);
+  uint32_t slot = stage_.Admit(now, &hash_resp_);
   if (slot != AccessStage::kNone) pool_[slot] = Op{};
 }
 
@@ -55,149 +46,6 @@ void HashPipeline::HashKey(uint32_t slot) {
 uint64_t HashPipeline::BucketIndex(uint32_t slot) const {
   return db_->hash_index(stage_.op(slot).table, partition_)
       ->BucketIndex(pool_[slot].hash);
-}
-
-void HashPipeline::IssueBatchReads(uint64_t now, uint32_t bi) {
-  AccessStage::Batch& b = stage_.batch(bi);
-  BatchWalk& w = walks_[bi];
-  if (!w.nodes) {
-    // Lock-deferred members retry first: a lock released this tick (the
-    // insert's install completed upstream in the tick order) unblocks
-    // them before fresh issues extend the burst train.
-    for (size_t i = 0; i < w.deferred.size();) {
-      uint32_t slot = w.deferred[i];
-      if (stage_.locks().HeldByOther(BucketIndex(slot), slot)) {
-        fc_hash_lock_stall_.Add();
-        stage_.NoteHazardStall();
-        ++i;
-        continue;
-      }
-      if (!stage_.IssueBurst(bi, now, pool_[slot].bucket_slot,
-                             &batch_data_resp_, slot,
-                             /*snapshot_words=*/1)) {
-        fc_hash_dram_stall_.Add();
-        stage_.NoteDramStall();
-        return;
-      }
-      ++b.outstanding;
-      w.deferred[i] = w.deferred.back();
-      w.deferred.pop_back();
-    }
-    while (w.next_issue < b.members.size()) {
-      uint32_t slot = b.members[w.next_issue];
-      if (config_.hazard_prevention &&
-          stage_.locks().HeldByOther(BucketIndex(slot), slot)) {
-        w.deferred.push_back(slot);
-        ++w.next_issue;
-        fc_hash_lock_stall_.Add();
-        stage_.NoteHazardStall();
-        continue;
-      }
-      if (!stage_.IssueBurst(bi, now, pool_[slot].bucket_slot,
-                             &batch_data_resp_, slot,
-                             /*snapshot_words=*/1)) {
-        fc_hash_dram_stall_.Add();
-        stage_.NoteDramStall();
-        return;
-      }
-      ++b.outstanding;
-      ++w.next_issue;
-    }
-  } else {
-    while (w.next_issue < w.node_members.size()) {
-      uint32_t slot = w.node_members[w.next_issue];
-      if (!stage_.IssueBurst(bi, now, pool_[slot].cur, &batch_data_resp_,
-                             slot, /*snapshot_words=*/0)) {
-        fc_traverse_dram_stall_.Add();
-        stage_.NoteDramStall();
-        return;
-      }
-      ++b.outstanding;
-      ++w.next_issue;
-    }
-  }
-}
-
-void HashPipeline::TickBatchExec(uint64_t now) {
-  // Key responses: the Hash-stage work, run per response. The batch unit's
-  // comparator works through queued responses within the cycle — the
-  // responses themselves already arrived spread over DRAM service time.
-  while (!batch_key_resp_.empty()) {
-    uint32_t slot = uint32_t(batch_key_resp_.front().cookie);
-    batch_key_resp_.pop_front();
-    HashKey(slot);
-    --stage_.batch(stage_.batch_of(slot)).outstanding;
-  }
-  // Bucket-head and chain-node responses, disambiguated by the owning
-  // batch's level (a batch never advances with responses outstanding).
-  while (!batch_data_resp_.empty()) {
-    sim::MemResponse resp = std::move(batch_data_resp_.front());
-    batch_data_resp_.pop_front();
-    uint32_t slot = uint32_t(resp.cookie);
-    uint32_t bi = stage_.batch_of(slot);
-    AccessStage::Batch& b = stage_.batch(bi);
-    --b.outstanding;
-    if (!walks_[bi].nodes) {
-      fc_headfetch_stage_.Add();
-      sim::Addr head = resp.data[0];
-      if (head == sim::kNullAddr) {
-        --b.live;
-        stage_.Emit(slot, isa::CpStatus::kNotFound);
-      } else {
-        pool_[slot].cur = head;
-        walks_[bi].node_members.push_back(slot);
-      }
-    } else {
-      fc_keycomp_stage_.Add();
-      // The member leaves batch custody here either way: a match (or
-      // corruption / end-of-chain) finished it, and a mismatch hands the
-      // chain continuation to the per-op Traverse units.
-      --b.live;
-      if (!CompareOrAdvance(now, slot)) EnqueueTraverse(slot);
-    }
-  }
-  // Level walks, in batch-index order (deterministic across modes).
-  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
-    AccessStage::Batch& b = stage_.batch(bi);
-    BatchWalk& w = walks_[bi];
-    if (b.phase == AccessStage::Batch::Phase::kKeys && b.outstanding == 0) {
-      // Per-level sort: order probes by bucket slot so the bucket reads
-      // issue as an ascending-address burst train. stable_sort keeps
-      // admission order among equal buckets.
-      std::stable_sort(b.members.begin(), b.members.end(),
-                       [this](uint32_t a, uint32_t c) {
-                         return pool_[a].bucket_slot < pool_[c].bucket_slot;
-                       });
-      b.phase = AccessStage::Batch::Phase::kWalk;
-      w.next_issue = 0;
-      b.burst.Reset();
-    }
-    if (b.phase != AccessStage::Batch::Phase::kWalk) continue;
-    if (!w.nodes) {
-      IssueBatchReads(now, bi);
-      if (w.next_issue == b.members.size() && w.deferred.empty() &&
-          b.outstanding == 0) {
-        std::stable_sort(w.node_members.begin(), w.node_members.end(),
-                         [this](uint32_t a, uint32_t c) {
-                           return pool_[a].cur < pool_[c].cur;
-                         });
-        w.nodes = true;
-        w.next_issue = 0;
-        b.burst.Reset();
-      }
-    }
-    if (w.nodes) {
-      IssueBatchReads(now, bi);
-      if (w.next_issue == w.node_members.size() && b.outstanding == 0 &&
-          b.live == 0) {
-        stage_.RetireBatch(bi);
-        w.nodes = false;
-        w.node_members.clear();
-        w.deferred.clear();
-        w.next_issue = 0;
-      }
-    }
-  }
 }
 
 bool HashPipeline::TryPassHashStage(uint64_t now, uint32_t slot) {
@@ -446,26 +294,6 @@ uint64_t HashPipeline::NextWakeCycle(uint64_t now) const {
   } else if (!hash_resp_.empty()) {
     return now + 1;
   }
-  if (!batch_key_resp_.empty() || !batch_data_resp_.empty()) return now + 1;
-  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
-    const AccessStage::Batch& b = stage_.batch(bi);
-    const BatchWalk& w = walks_[bi];
-    if (b.phase == AccessStage::Batch::Phase::kWalk && !w.nodes) {
-      // Unissued members are DRAM-reject retries (every tick bumps reject
-      // counters); lock-deferred members are quiescent until the holding
-      // insert's install completes (a DRAM wake).
-      if (w.next_issue < b.members.size()) return now + 1;
-      for (uint32_t slot : w.deferred) {
-        if (!stage_.locks().HeldByOther(BucketIndex(slot), slot)) {
-          return now + 1;
-        }
-      }
-      if (w.deferred.empty() && b.outstanding == 0) return now + 1;
-    } else if (b.phase == AccessStage::Batch::Phase::kWalk) {
-      if (w.next_issue < w.node_members.size()) return now + 1;
-      if (b.outstanding == 0) return now + 1;
-    }
-  }
   for (const TraverseUnit& u : traverse_units_) {
     if (u.cur_op.has_value()) {
       if (!u.waiting || !u.resp.empty()) return now + 1;
@@ -478,23 +306,8 @@ uint64_t HashPipeline::NextWakeCycle(uint64_t now) const {
 
 void HashPipeline::SkipCycles(uint64_t now, uint64_t count) {
   (void)now;
-  bool hazard = false;
-  if (HashBlockedOnLock()) {
-    fc_hash_lock_stall_.Add(count);
-    hazard = true;
-  }
-  for (uint32_t bi = 0; bi < stage_.batch_count(); ++bi) {
-    if (stage_.batch(bi).phase != AccessStage::Batch::Phase::kWalk ||
-        walks_[bi].nodes) {
-      continue;
-    }
-    // Deferred members stay lock-held across a skipped window (a lock
-    // release is a DRAM wake): replay the per-tick retry counting.
-    for (size_t i = 0; i < walks_[bi].deferred.size(); ++i) {
-      fc_hash_lock_stall_.Add(count);
-      hazard = true;
-    }
-  }
+  const bool hazard = HashBlockedOnLock();
+  if (hazard) fc_hash_lock_stall_.Add(count);
   stage_.SkipCycles(count, hazard);
 }
 

@@ -28,9 +28,10 @@
 // paper's insert-after-insert and search-after-insert hazards.
 //
 // Every op in flight occupies one slot of the shared access stage
-// (index/access_stage.h), which also runs the terminal visibility/CC step
-// and the kBatched collector; the coprocessor enforces the
-// experiment-level in-flight cap on top of the slot pool.
+// (index/access_stage.h), which also runs the terminal visibility/CC step;
+// the coprocessor enforces the experiment-level in-flight cap on top of
+// the slot pool. The hash pipeline always walks per-op: a bucket chain has
+// no upper level that a sorted batch could share (DESIGN.md section 17).
 #ifndef BIONICDB_INDEX_HASH_PIPELINE_H_
 #define BIONICDB_INDEX_HASH_PIPELINE_H_
 
@@ -60,7 +61,7 @@ class HashPipeline {
   };
 
   HashPipeline(db::Database* db, db::PartitionId partition, Config config,
-               const AccessStage::Settings& settings, ResultQueue* results);
+               cc::CcUnit* cc_unit, ResultQueue* results);
 
   void Tick(uint64_t now);
 
@@ -69,8 +70,8 @@ class HashPipeline {
   /// SkipCycles reproduces. Mirrors each stage's control flow: any stage
   /// with a queued response/ack or a DRAM-reject retry (retries bump DRAM
   /// reject counters) wants the very next cycle; a Hash stage stalled
-  /// behind a hazard lock is quiescent; the access stage adds admissions,
-  /// flush deadlines and parked ops.
+  /// behind a hazard lock is quiescent; the access stage adds admissions
+  /// and parked ops.
   uint64_t NextWakeCycle(uint64_t now) const;
   /// Bulk-applies the busy/occupancy accounting and per-cycle stall
   /// counters/flags for skipped cycles now+1 .. now+count.
@@ -144,31 +145,6 @@ class HashPipeline {
   std::optional<uint32_t> hash_blocked_;
   std::optional<uint32_t> install_blocked_;
   std::optional<uint32_t> headfetch_blocked_;
-
-  // --- kBatched traversal (DESIGN.md section 17) -----------------------
-  //
-  // A batch walks two levels after its key reads land: the bucket heads,
-  // then the first chain nodes. Each level sorts its members by address
-  // and issues one burst train (same-row successors charged at the DRAM
-  // row-hit cost). Chain continuations beyond the first node hand off to
-  // the per-op Traverse units, and every match still runs FinishAccess —
-  // visibility/CC per tuple, exactly as kPerOp.
-  struct BatchWalk {
-    bool nodes = false;                  // walking chain nodes, else heads
-    std::vector<uint32_t> node_members;  // members with a non-null head
-    std::vector<uint32_t> deferred;      // bucket reads stalled on a lock
-    uint32_t next_issue = 0;             // first member without a read
-  };
-
-  /// Drains batch responses and advances every batch's level walk.
-  void TickBatchExec(uint64_t now);
-  /// Issues the sorted burst train for a batch's current level; stops on
-  /// DRAM backpressure (retry next tick from the same member).
-  void IssueBatchReads(uint64_t now, uint32_t batch);
-
-  std::vector<BatchWalk> walks_;  // one per access-stage batch context
-  sim::MemResponseQueue batch_key_resp_;
-  sim::MemResponseQueue batch_data_resp_;
 
   // Lazy slot handles for counters on the per-op/per-cycle hot path
   // (common/stats.h FastCounter): bound on first increment, so JSON

@@ -10,13 +10,12 @@ namespace bionicdb::index {
 
 SkiplistPipeline::SkiplistPipeline(db::Database* db,
                                    db::PartitionId partition, Config config,
-                                   const AccessStage::Settings& settings,
-                                   ResultQueue* results)
+                                   cc::CcUnit* cc_unit, ResultQueue* results)
     : db_(db),
       dram_(db->dram()),
       partition_(partition),
       config_(config),
-      stage_(db->dram(), config.pool_size, settings, results),
+      stage_(db->dram(), config.pool_size, cc_unit, results, config),
       pool_(config.pool_size),
       stages_(config.n_stages),
       scanners_(config.n_scanners),
@@ -160,8 +159,8 @@ void SkiplistPipeline::TickBatchExec(uint64_t now) {
       --b.outstanding;
     }
     if (b.phase == AccessStage::Batch::Phase::kKeys && b.outstanding == 0) {
-      // Level-wise sort: members ordered by (table, key) so the per-level
-      // fetch trains walk rising addresses on bulk-loaded lists.
+      // Level-wise sort: members ordered by (table, key), so adjacent
+      // probes meet the towers they share one after the other.
       std::stable_sort(
           b.members.begin(), b.members.end(),
           [this](uint32_t x, uint32_t y) {
@@ -228,12 +227,11 @@ bool SkiplistPipeline::WalkBatch(uint64_t now, uint32_t bi) {
       break;
     }
   }
-  // Issue the fetch train in discovery order (member-sorted -> burst
-  // coalescing). Each unique tower is one timed DRAM access per batch.
+  // Issue the fetches in discovery order (member-sorted). Each unique
+  // tower is one timed DRAM access per batch.
   uint32_t issued = 0;
   for (sim::Addr addr : w.fetch_queue) {
-    if (!stage_.IssueBurst(bi, now, addr, &w.fetch_resp, addr,
-                           /*snapshot_words=*/0)) {
+    if (!dram_->Issue(now, addr, false, &w.fetch_resp, addr)) {
       stage_.counters().Add("batch_fetch_dram_stall");
       stage_.NoteDramStall();
       break;
@@ -591,19 +589,9 @@ void SkiplistPipeline::TickScanner(uint64_t now, uint32_t scanner_idx) {
     stage_.Emit(slot, isa::CpStatus::kOk, n);
     return;
   }
-  sim::Addr prev = op.cur;
   op.cur = next;
-  // Batched traversal charges the next hop at row-hit cost when it stays
-  // in the same DRAM row: bulk-loaded bottom lists are address-sequential,
-  // so long scans degrade into sequential bursts (paper HC-2).
-  const bool row_hit = stage_.batched() && dram_->SameRow(prev, next);
-  const bool ok =
-      row_hit ? dram_->IssueRowHit(now, op.cur, false, &sc.resp, slot,
-                                   kTowerSnapshotWords)
-              : dram_->Issue(now, op.cur, false, &sc.resp, slot,
-                             kTowerSnapshotWords);
-  if (ok && stage_.batched()) stage_.CountBurst(row_hit);
-  if (!ok) {
+  if (!dram_->Issue(now, op.cur, false, &sc.resp, slot,
+                    kTowerSnapshotWords)) {
     // Retry next tick: stay waiting with an empty response queue.
     stage_.counters().Add("scanner_dram_stall");
     stage_.NoteDramStall();

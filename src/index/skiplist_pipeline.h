@@ -49,22 +49,21 @@ namespace bionicdb::index {
 
 class SkiplistPipeline {
  public:
-  struct Config {
+  /// The traversal strategy and batch collector knobs
+  /// (AccessStage::Batching) are the skiplist's own: under kBatched,
+  /// probes walk in level-wise batches, one timed DRAM fetch per unique
+  /// tower per batch (members walk shared fetches functionally). Inserts
+  /// keep the staged per-op path in both modes — the recorded insert path
+  /// and hazard locks do not batch.
+  struct Config : AccessStage::Batching {
     uint32_t pool_size = 64;
     uint32_t n_stages = 8;
     uint32_t n_scanners = 1;
     bool hazard_prevention = true;
   };
 
-  /// Under kBatched (AccessStage::Settings::traversal) probes walk in
-  /// level-wise batches: one timed DRAM fetch per unique tower per batch
-  /// (members walk shared fetches functionally), issued key-sorted so the
-  /// burst train coalesces same-row reads. Inserts keep the staged per-op
-  /// path in both modes — the recorded insert path and hazard locks do
-  /// not batch.
   SkiplistPipeline(db::Database* db, db::PartitionId partition,
-                   Config config, const AccessStage::Settings& settings,
-                   ResultQueue* results);
+                   Config config, cc::CcUnit* cc_unit, ResultQueue* results);
 
   void Tick(uint64_t now);
 

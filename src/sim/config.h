@@ -14,11 +14,13 @@ struct TimingConfig {
   /// FPGA fabric clock in MHz; throughput numbers are cycles / clock.
   double clock_mhz = 125.0;
 
-  /// Random-access DRAM read/write latency in cycles. The HC-2's DDR2
-  /// subsystem behind its crossbar memory interconnect has notoriously high
-  /// random-access latency (~760 ns = 95 cycles at 125 MHz); this value
-  /// calibrates the simulator so the hash pipeline's peak search rate lands
-  /// at the paper's ~7 Mops with 16 in-flight requests.
+  /// DRAM read/write latency in cycles, charged to every timed access
+  /// whoever issues it: the HC-2's random-access latency behind its
+  /// crossbar memory interconnect (~760 ns = 95 cycles at 125 MHz). The
+  /// model has no open-row or burst discount. Whether this value
+  /// reproduces the paper's absolute rates is an open calibration question
+  /// (ROADMAP item 4): fig10_hash measures ~20 Mops at 16 in flight where
+  /// the paper reports ~7 Mops.
   uint32_t dram_latency_cycles = 95;
 
   /// Independent DRAM channels (HC-2 exposes 8 controllers to one chip).
@@ -29,20 +31,6 @@ struct TimingConfig {
 
   /// Cycles a channel is occupied issuing one request (bandwidth model).
   uint32_t dram_issue_gap_cycles = 1;
-
-  /// Latency of a DRAM access that hits the row already open from the
-  /// previous access in the same burst train (sequential-burst cost). The
-  /// HC-2 controllers stream sequential DDR2 bursts at close to full
-  /// bandwidth once a row is open, so a row-hit access skips the
-  /// activate/precharge round trip baked into dram_latency_cycles. Used by
-  /// the batched index traversal path (DramMemory::IssueRowHit); per-op
-  /// traversal never charges this.
-  uint32_t dram_row_hit_latency_cycles = 12;
-
-  /// Row span (bytes) two addresses must share for a follow-up access to
-  /// qualify for the row-hit cost. Power of two; 2 KiB matches a DDR2
-  /// device row as seen through one controller.
-  uint64_t dram_row_bytes = 2048;
 
   /// One-way hop latency of the on-chip message-passing fabric (24 ns at
   /// 125 MHz = 3 cycles; a request/response pair costs 6 cycles, Table 3).

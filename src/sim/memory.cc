@@ -202,8 +202,8 @@ bool DramMemory::AdmitRequest(Lane* lane, uint64_t now, Addr addr,
   return true;
 }
 
-bool DramMemory::Enqueue(uint64_t now, uint64_t latency, Addr addr,
-                         bool is_write, bool apply_write, uint64_t write_value,
+bool DramMemory::Enqueue(uint64_t now, Addr addr, bool is_write,
+                         bool apply_write, uint64_t write_value,
                          MemResponseQueue* sink, uint64_t cookie,
                          uint32_t snapshot_words) {
   Lane& lane = CurrentLane();
@@ -213,7 +213,7 @@ bool DramMemory::Enqueue(uint64_t now, uint64_t latency, Addr addr,
     return false;
   }
   if (!is_write) PrefetchLine(addr);
-  const uint64_t complete_at = start + latency;
+  const uint64_t complete_at = start + config_.dram_latency_cycles;
   lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie, write_value,
                             sink, snapshot_words, channel, is_write,
                             apply_write});

@@ -126,8 +126,8 @@ class DramMemory {
   bool partitioned() const { return partitioned_; }
 
   /// RAII partition context on one memory: while in scope, `dram`'s
-  /// Allocate targets the partition's arena and its Issue/IssueRowHit/
-  /// IssueWrite64 the partition's lane. The database wraps bulk loading in
+  /// Allocate targets the partition's arena and its Issue/IssueWrite64
+  /// the partition's lane. The database wraps bulk loading in
   /// one (each partition's tuples belong in that partition's arena).
   /// Nesting restores the previous context; other memories are unaffected.
   class PartitionScope {
@@ -262,28 +262,8 @@ class DramMemory {
   /// response at completion time.
   bool Issue(uint64_t now, Addr addr, bool is_write, MemResponseQueue* sink,
              uint64_t cookie, uint32_t snapshot_words = 0) {
-    return Enqueue(now, config_.dram_latency_cycles, addr, is_write,
-                   /*apply_write=*/false, /*write_value=*/0, sink, cookie,
-                   snapshot_words);
-  }
-
-  /// Same contract as Issue, but charged at the row-hit (sequential-burst)
-  /// latency instead of the random-access latency. Callers — the batched
-  /// traversal units — decide row-hit eligibility themselves via SameRow
-  /// against the previous address in their burst train, which keeps the
-  /// DRAM model stateless and deterministic across simulation modes.
-  bool IssueRowHit(uint64_t now, Addr addr, bool is_write,
-                   MemResponseQueue* sink, uint64_t cookie,
-                   uint32_t snapshot_words = 0) {
-    return Enqueue(now, config_.dram_row_hit_latency_cycles, addr, is_write,
-                   /*apply_write=*/false, /*write_value=*/0, sink, cookie,
-                   snapshot_words);
-  }
-
-  /// True when two addresses fall within the same DRAM row span and a
-  /// back-to-back access to `b` after `a` qualifies for the row-hit cost.
-  bool SameRow(Addr a, Addr b) const {
-    return (a / config_.dram_row_bytes) == (b / config_.dram_row_bytes);
+    return Enqueue(now, addr, is_write, /*apply_write=*/false,
+                   /*write_value=*/0, sink, cookie, snapshot_words);
   }
 
   /// A write whose FUNCTIONAL effect lands at service-completion time, with
@@ -293,9 +273,8 @@ class DramMemory {
   /// the paper's pipeline hazards (Figures 6/7).
   bool IssueWrite64(uint64_t now, Addr addr, uint64_t value,
                     MemResponseQueue* sink, uint64_t cookie) {
-    return Enqueue(now, config_.dram_latency_cycles, addr, /*is_write=*/true,
-                   /*apply_write=*/true, value, sink, cookie,
-                   /*snapshot_words=*/0);
+    return Enqueue(now, addr, /*is_write=*/true, /*apply_write=*/true, value,
+                   sink, cookie, /*snapshot_words=*/0);
   }
 
   /// Delivers all completions due at or before `now` (every lane). Inline
@@ -470,12 +449,12 @@ class DramMemory {
   bool AdmitRequest(Lane* lane, uint64_t now, Addr addr, bool is_write,
                     uint32_t* channel, uint64_t* start);
 
-  /// Shared body of Issue, IssueRowHit and IssueWrite64: admits the
-  /// request on the current lane and queues its completion `latency`
-  /// cycles after service starts.
-  bool Enqueue(uint64_t now, uint64_t latency, Addr addr, bool is_write,
-               bool apply_write, uint64_t write_value, MemResponseQueue* sink,
-               uint64_t cookie, uint32_t snapshot_words);
+  /// Shared body of Issue and IssueWrite64: admits the request on the
+  /// current lane and queues its completion dram_latency_cycles after
+  /// service starts.
+  bool Enqueue(uint64_t now, Addr addr, bool is_write, bool apply_write,
+               uint64_t write_value, MemResponseQueue* sink, uint64_t cookie,
+               uint32_t snapshot_words);
 
   /// Tick slow path: delivers every completion due at or before `now`
   /// and refreshes the lane's next_ready cache.

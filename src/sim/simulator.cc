@@ -27,7 +27,7 @@ void Simulator::AddComponent(Component* component) {
   wake_.push_back(now_ + 1);
   settled_.push_back(now_);
   idle_sample_.push_back(1);
-  lane_of_.push_back(0);
+  lane_of_.push_back(kNoLane);
   turn_ = components_.size();
   if (config_.event_driven) {
     component->scheduler_ = this;
@@ -90,7 +90,9 @@ void Simulator::TickOnce() {
 void Simulator::Resync() {
   for (size_t i = 0; i < components_.size(); ++i) {
     Component* c = components_[i];
-    lane_of_[i] = dram_.LaneOf(partition_of_[i]);
+    lane_of_[i] = partition_of_[i] == DramMemory::kHostPartition
+                      ? kNoLane
+                      : dram_.LaneOf(partition_of_[i]);
     idle_sample_[i] = c->Idle() ? 1 : 0;
     wake_[i] = std::max(c->NextWakeCycle(now_), now_ + 1);
   }
@@ -141,7 +143,8 @@ void Simulator::Advance(uint64_t limit) {
     // A delivering lane wakes every block that issues on it. Settle them
     // first: their skipped cycles belong to the pre-delivery state.
     for (size_t i = 0; i < n; ++i) {
-      if (wake[i] > now && dram_.LaneDue(lane_of_[i], now)) {
+      if (wake[i] > now && lane_of_[i] != kNoLane &&
+          dram_.LaneDue(lane_of_[i], now)) {
         Settle(i, now - 1);
         wake[i] = now;
       }

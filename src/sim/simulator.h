@@ -39,14 +39,17 @@ class Simulator {
   explicit Simulator(const TimingConfig& config = TimingConfig());
 
   /// Registers a block that belongs to no partition (the fabric, the fault
-  /// scheduler); it ticks under the host partition context. The simulator
-  /// does not take ownership, and a registered block must not be touched
-  /// after its simulator is destroyed.
+  /// scheduler); it ticks under the host partition context. Such a block
+  /// issues no timed DRAM: no lane delivery wakes it in event-driven mode.
+  /// The simulator does not take ownership, and a registered block must
+  /// not be touched after its simulator is destroyed.
   void AddComponent(Component* component);
 
   /// Registers a block belonging to partition `partition`: it ticks under
   /// that partition's DramMemory context, so its allocations and timed
-  /// accesses use the partition's arena and lane.
+  /// accesses use the partition's arena and lane, and every completion on
+  /// that lane wakes it. A block that issues timed DRAM registers here; on
+  /// an unpartitioned memory, partition 0 routes to the one arena and lane.
   void AddComponent(Component* component, uint32_t partition);
 
   /// Runs `cycles` cycles.
@@ -148,12 +151,13 @@ class Simulator {
   std::vector<ComponentCycles> component_cycles_;
   // Event-driven per-block state, parallel to components_: the cycle the
   // block next ticks at, the last cycle it has been charged through (by a
-  // tick or a settle), its last Idle() sample, and the DRAM lane its
-  // partition context issues on.
+  // tick or a settle), its last Idle() sample, and the DRAM lane whose
+  // deliveries wake it (kNoLane for a block outside every partition).
   std::vector<uint64_t> wake_;
   std::vector<uint64_t> settled_;
   std::vector<uint8_t> idle_sample_;
   std::vector<uint32_t> lane_of_;
+  static constexpr uint32_t kNoLane = UINT32_MAX;
   /// Slot whose turn the current cycle is at; components_.size() outside
   /// the block loop (every turn of the cycle is over).
   size_t turn_ = 0;

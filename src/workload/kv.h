@@ -29,9 +29,9 @@ struct KvOptions {
   bool batch_framing = false;
   /// Dense probes: every search transaction reads `ops_per_txn`
   /// SEQUENTIAL preloaded keys from a random start (the UCSB batch-get
-  /// shape). Adjacent keys are adjacent tuples after bulk load, so a
-  /// batched pipeline's sorted node reads coalesce into DRAM row hits;
-  /// false keeps independent uniform keys.
+  /// shape). Adjacent keys share nearly their whole skiplist descent, so
+  /// a batched pipeline fetches each shared tower once per batch; false
+  /// keeps independent uniform keys.
   bool dense = false;
 };
 

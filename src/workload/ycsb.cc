@@ -14,16 +14,14 @@ using isa::ProgramBuilder;
 // Register conventions: r0 = transaction-block data base (hardware), r1 =
 // scratch, r2.. = per-update tuple addresses in the update-mix program.
 
-isa::Program ReadOnlyProgram(uint32_t n, bool framed = false) {
+isa::Program ReadOnlyProgram(uint32_t n) {
   ProgramBuilder b;
   b.Logic();
-  if (framed) b.BeginBatch();
   for (uint32_t i = 0; i < n; ++i) {
     b.Search({.table_id = Ycsb::kTable,
               .cp = isa::Reg(i),
               .key_offset = int32_t(8 * i)});
   }
-  if (framed) b.EndBatch();
   b.Yield();
   b.Commit();
   for (uint32_t i = 0; i < n; ++i) b.Ret(1, isa::Reg(i));
@@ -33,12 +31,11 @@ isa::Program ReadOnlyProgram(uint32_t n, bool framed = false) {
 }
 
 // Layout: [0, 8n) keys; [8n, 8n+8u) new values; [8n+8u, 8n+16u) UNDO slots.
-isa::Program UpdateMixProgram(uint32_t n, uint32_t u, bool framed = false) {
+isa::Program UpdateMixProgram(uint32_t n, uint32_t u) {
   ProgramBuilder b;
   const int32_t newval_base = int32_t(8 * n);
   const int32_t undo_base = int32_t(8 * n + 8 * u);
   b.Logic();
-  if (framed) b.BeginBatch();
   for (uint32_t i = 0; i < n; ++i) {
     ProgramBuilder::DbArgs args{.table_id = Ycsb::kTable,
                                 .cp = isa::Reg(i),
@@ -49,7 +46,6 @@ isa::Program UpdateMixProgram(uint32_t n, uint32_t u, bool framed = false) {
       b.Search(args);
     }
   }
-  if (framed) b.EndBatch();
   b.Yield();
   b.Commit();
   // All RETs first: any failure aborts before a single byte is modified,
@@ -195,16 +191,6 @@ Status Ycsb::Setup() {
                             /*variable=*/options_.scan_len_min > 0);
       block_data_size_ = 16 + 8ull * options_.scan_len;
       break;
-    case YcsbOptions::Mode::kBatchGet:
-      program = ReadOnlyProgram(n, /*framed=*/true);
-      block_data_size_ = 8ull * n;
-      break;
-    case YcsbOptions::Mode::kBatchPut: {
-      uint32_t u = std::min(options_.updates_per_txn, n);
-      program = UpdateMixProgram(n, u, /*framed=*/true);
-      block_data_size_ = 8ull * n + 16ull * u;
-      break;
-    }
     case YcsbOptions::Mode::kMultisite:
       program = MultisiteProgram(n);
       block_data_size_ = 16ull * n;
@@ -244,13 +230,11 @@ sim::Addr Ycsb::MakeTxn(Rng* rng, db::WorkerId worker) {
   const uint32_t n = options_.accesses_per_txn;
   switch (options_.mode) {
     case YcsbOptions::Mode::kReadOnly:
-    case YcsbOptions::Mode::kBatchGet:
       for (uint32_t i = 0; i < n; ++i) {
         block.WriteKeyU64(int64_t(8 * i), RandomKey(rng, worker));
       }
       break;
-    case YcsbOptions::Mode::kUpdateMix:
-    case YcsbOptions::Mode::kBatchPut: {
+    case YcsbOptions::Mode::kUpdateMix: {
       // Distinct keys within the transaction: re-touching a tuple this
       // transaction already dirtied is blindly rejected by the CC
       // (section 4.7), which would make the block unretryable.

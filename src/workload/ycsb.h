@@ -36,13 +36,6 @@ struct YcsbOptions {
     /// stream — and therefore their results — are identical across
     /// fractions.
     kMultisiteUpdate,
-    /// UCSB-style bulk point ops with batch framing: the transaction's
-    /// DB instructions are wrapped in BeginBatch()/EndBatch() so a
-    /// kBatched index pipeline flushes on the group end instead of
-    /// waiting out its collector timeout. kBatchGet is kReadOnly framed;
-    /// kBatchPut is kUpdateMix framed (same UNDO commit discipline).
-    kBatchGet,
-    kBatchPut,
   };
 
   Mode mode = Mode::kReadOnly;

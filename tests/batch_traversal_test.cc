@@ -1,15 +1,17 @@
-// Differential tests for batched level-wise index traversal (DESIGN.md
+// Differential tests for batched level-wise skiplist traversal (DESIGN.md
 // section 17): TraversalMode::kBatched must be an OPTIMIZATION, never a
-// semantic change. Every suite compares a batched pipeline against the
-// per-op baseline on identical inputs:
+// semantic change, and must pay the same DRAM price per access as kPerOp.
 //  * direct-coprocessor differentials — the result envelopes (status,
-//    payload, scan output buffers) must match per-op byte for byte on
-//    hash and skiplist tables;
+//    payload, scan output buffers) must match per-op byte for byte on a
+//    skiplist table, and a hash table (which always walks per-op) must
+//    not notice the skiplist's batching at all;
+//  * one DRAM price — every bottom-level scan hop is a dependent
+//    full-latency read in both modes;
 //  * flush-timeout property — a probe never waits in the collector past
 //    batch_timeout_cycles: undersized batches still complete promptly
 //    and account a timeout flush;
-//  * engine-level SmallBank under all three CC schemes — conservation
-//    holds and every transaction eventually commits in both traversal
+//  * engine-level KV searches mixed with inserts on a skiplist under all
+//    three CC schemes — every transaction commits in both traversal
 //    modes;
 //  * simulator-mode identity — a batched engine's stats tree is
 //    byte-identical across per-cycle and event-driven simulation.
@@ -27,8 +29,7 @@
 #include "host/driver.h"
 #include "index/coprocessor.h"
 #include "sim/simulator.h"
-#include "workload/smallbank.h"
-#include "workload/ycsb.h"
+#include "workload/kv.h"
 
 namespace bionicdb {
 namespace {
@@ -59,11 +60,11 @@ class CoprocHarness {
     cc_ = std::make_unique<cc::CcUnit>(&sim_->dram(), cc::CcMode::kTimestamp);
     index::IndexCoprocessor::Config cfg;
     cfg.cc_unit = cc_.get();
-    cfg.traversal = traversal;
-    cfg.batch_size = batch_size;
-    cfg.batch_timeout_cycles = batch_timeout;
+    cfg.skiplist.traversal = traversal;
+    cfg.skiplist.batch_size = batch_size;
+    cfg.skiplist.batch_timeout_cycles = batch_timeout;
     coproc_ = std::make_unique<index::IndexCoprocessor>(db_.get(), 0, cfg);
-    sim_->AddComponent(coproc_.get());
+    sim_->AddComponent(coproc_.get(), /*partition=*/0);
     scratch_ = sim_->dram().Allocate(1 << 20);
   }
 
@@ -189,6 +190,8 @@ std::vector<comm::Envelope> ProbeMix(CoprocHarness* h, bool with_scans) {
 }
 
 TEST(BatchTraversalDifferential, HashResultsMatchPerOp) {
+  // Only the skiplist batches: a hash table in a coprocessor whose
+  // skiplist runs kBatched walks per-op, cycle for cycle.
   CoprocHarness perop(db::IndexKind::kHash, index::TraversalMode::kPerOp);
   CoprocHarness batched(db::IndexKind::kHash, index::TraversalMode::kBatched);
   perop.Preload(50, 2);
@@ -196,6 +199,7 @@ TEST(BatchTraversalDifferential, HashResultsMatchPerOp) {
   auto a = perop.Run(ProbeMix(&perop, /*with_scans=*/false));
   auto b = batched.Run(ProbeMix(&batched, /*with_scans=*/false));
   ExpectSameResults(a, b);
+  EXPECT_EQ(perop.now(), batched.now());
 }
 
 TEST(BatchTraversalDifferential, SkiplistResultsAndScansMatchPerOp) {
@@ -210,15 +214,40 @@ TEST(BatchTraversalDifferential, SkiplistResultsAndScansMatchPerOp) {
 }
 
 // ---------------------------------------------------------------------------
+// One DRAM price: a scanner hop reads the next bottom-level tower only
+// after the previous one arrived, so a scan of N rows on an idle pipeline
+// costs at least N full DRAM latencies whichever traversal mode found its
+// start. No mode gets a cheaper price for the same access.
+
+TEST(BatchTraversalCost, ScanHopsPayFullDramLatency) {
+  constexpr uint32_t kRows = 32;
+  for (index::TraversalMode mode :
+       {index::TraversalMode::kPerOp, index::TraversalMode::kBatched}) {
+    CoprocHarness h(db::IndexKind::kSkiplist, mode);
+    h.Preload(100, 1);
+    comm::Envelope scan = h.MakeOp(isa::Opcode::kScan, 10, 0);
+    scan.index_op().scan_count = kRows;
+    scan.index_op().out_buf = h.AllocOut(8 * kRows);
+    const uint64_t start = h.now();
+    auto results = h.Run({scan});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results.at(0).status, isa::CpStatus::kOk);
+    EXPECT_EQ(results.at(0).payload_value, kRows);
+    const uint64_t dram = h.sim()->config().dram_latency_cycles;
+    EXPECT_GE(h.now() - start, kRows * dram) << int(mode);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Flush-timeout property: an undersized batch (fewer probes than
 // batch_size, no end-of-batch marker) must flush on the collector
 // deadline — probes cannot be held hostage waiting for peers that never
 // arrive.
 
-void FlushTimeoutCase(db::IndexKind kind, const char* pipe_key) {
+TEST(BatchTraversalTimeout, SkiplistCollectorFlushesOnDeadline) {
   constexpr uint64_t kTimeout = 64;
-  CoprocHarness h(kind, index::TraversalMode::kBatched, /*batch_size=*/16,
-                  kTimeout);
+  CoprocHarness h(db::IndexKind::kSkiplist, index::TraversalMode::kBatched,
+                  /*batch_size=*/16, kTimeout);
   h.Preload(50, 2);
   // 3 probes < batch_size 16: only the timeout can flush them.
   std::vector<comm::Envelope> ops;
@@ -233,106 +262,88 @@ void FlushTimeoutCase(db::IndexKind kind, const char* pipe_key) {
   }
   // The only flush trigger here is the deadline: the collector must have
   // waited it out, then completed within the batch's own DRAM round trips
-  // (bounded generously for the skiplist's multi-level walk).
+  // (bounded generously for the multi-level walk).
   const uint64_t dram = h.sim()->config().dram_latency_cycles;
   EXPECT_GE(h.now() - start, kTimeout);
   EXPECT_LE(h.now() - start, kTimeout + 64 * dram);
   StatsRegistry reg;
   h.coproc()->CollectStats(StatsScope(&reg, "coproc"));
-  EXPECT_GE(reg.GetCounter(std::string("coproc/") + pipe_key +
-                           "/batch/flush_timeout"),
-            1u);
-  EXPECT_EQ(reg.GetCounter(std::string("coproc/") + pipe_key +
-                           "/batch/flush_full"),
-            0u);
-}
-
-TEST(BatchTraversalTimeout, HashCollectorFlushesOnDeadline) {
-  FlushTimeoutCase(db::IndexKind::kHash, "hash");
-}
-
-TEST(BatchTraversalTimeout, SkiplistCollectorFlushesOnDeadline) {
-  FlushTimeoutCase(db::IndexKind::kSkiplist, "skiplist");
+  EXPECT_GE(reg.GetCounter("coproc/skiplist/batch/flush_timeout"), 1u);
+  EXPECT_EQ(reg.GetCounter("coproc/skiplist/batch/flush_full"), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level: SmallBank under every CC scheme, batched vs per-op. The
-// batched walk still runs CcUnit::CheckAccess per tuple, so conservation
-// must hold and every transaction must eventually commit in both modes.
+// Engine-level: framed dense KV searches mixed with inserts on a skiplist
+// table. The batched walk still runs CcUnit::CheckAccess per tuple, and
+// inserts keep the staged per-op path beside the batches, so every
+// transaction must commit in both modes under every CC scheme.
 
-struct EngineOutcome {
+struct KvMixOutcome {
   uint64_t committed = 0;
   uint64_t submitted = 0;
-  bool conserved = false;
+  std::string stats_json;
 };
 
-EngineOutcome RunSmallBank(index::TraversalMode traversal, cc::CcMode cc_mode) {
+KvMixOutcome RunSkiplistKvMix(index::TraversalMode traversal,
+                              cc::CcMode cc_mode, bool event_driven) {
   core::EngineOptions opts;
   opts.n_workers = 2;
   opts.cc_mode = cc_mode;
-  opts.coproc.traversal = traversal;
+  opts.coproc.skiplist.traversal = traversal;
+  opts.timing.event_driven = event_driven;
   core::BionicDb engine(opts);
-  workload::SmallBankOptions sbo;
-  sbo.accounts_per_partition = 100;
-  workload::SmallBank sb(&engine, sbo);
-  EngineOutcome out;
-  EXPECT_TRUE(sb.Setup().ok());
-  Rng rng(7);
+  workload::KvOptions kopts;
+  kopts.index = db::IndexKind::kSkiplist;
+  kopts.ops_per_txn = 16;
+  kopts.preload_per_partition = 500;
+  kopts.dense = true;
+  kopts.batch_framing = true;
+  workload::KvBench kv(&engine, kopts);
+  KvMixOutcome out;
+  EXPECT_TRUE(kv.Setup().ok());
+  Rng rng(42);
   host::TxnList list;
   for (uint32_t w = 0; w < opts.n_workers; ++w) {
-    for (int i = 0; i < 40; ++i) list.emplace_back(w, sb.MakeTxn(&rng, w));
+    for (int i = 0; i < 12; ++i) {
+      list.emplace_back(w, i % 3 == 2 ? kv.MakeInsertTxn(w, false)
+                                      : kv.MakeSearchTxn(&rng, w));
+    }
   }
   auto r = host::RunToCompletion(&engine, list);
   out.committed = r.committed;
   out.submitted = r.submitted;
-  out.conserved = sb.VerifyConservation(list);
+  StatsRegistry reg;
+  engine.CollectStats(&reg);
+  out.stats_json = reg.ToJson();
   return out;
 }
 
-TEST(BatchTraversalSmallBank, ConservesUnderAllCcModes) {
+TEST(BatchTraversalCc, SkiplistMixCommitsUnderAllCcModes) {
   for (cc::CcMode cc_mode :
        {cc::CcMode::kTimestamp, cc::CcMode::kSgt, cc::CcMode::kMvcc}) {
-    EngineOutcome perop = RunSmallBank(index::TraversalMode::kPerOp, cc_mode);
-    EngineOutcome batched =
-        RunSmallBank(index::TraversalMode::kBatched, cc_mode);
+    KvMixOutcome perop =
+        RunSkiplistKvMix(index::TraversalMode::kPerOp, cc_mode, true);
+    KvMixOutcome batched =
+        RunSkiplistKvMix(index::TraversalMode::kBatched, cc_mode, true);
     EXPECT_EQ(perop.submitted, batched.submitted) << int(cc_mode);
     EXPECT_EQ(perop.committed, perop.submitted) << int(cc_mode);
     EXPECT_EQ(batched.committed, batched.submitted) << int(cc_mode);
-    EXPECT_TRUE(perop.conserved) << int(cc_mode);
-    EXPECT_TRUE(batched.conserved) << int(cc_mode);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: a batched YCSB update-mix engine must produce a
-// byte-identical stats tree in both simulator modes.
-
-std::string RunBatchedYcsbStats(bool event_driven) {
-  core::EngineOptions opts;
-  opts.n_workers = 4;
-  opts.coproc.traversal = index::TraversalMode::kBatched;
-  opts.timing.event_driven = event_driven;
-  core::BionicDb engine(opts);
-  workload::YcsbOptions yopts;
-  yopts.mode = workload::YcsbOptions::Mode::kBatchPut;
-  yopts.records_per_partition = 500;
-  yopts.payload_len = 64;
-  workload::Ycsb ycsb(&engine, yopts);
-  EXPECT_TRUE(ycsb.Setup().ok());
-  Rng rng(42);
-  host::TxnList list;
-  for (uint32_t w = 0; w < opts.n_workers; ++w) {
-    for (int i = 0; i < 25; ++i) list.emplace_back(w, ycsb.MakeTxn(&rng, w));
-  }
-  host::RunToCompletion(&engine, list);
-  StatsRegistry reg;
-  engine.CollectStats(&reg);
-  return reg.ToJson();
-}
+// Determinism: the batched skiplist mix must produce a byte-identical
+// stats tree in both simulator modes.
 
 TEST(BatchTraversalModes, StatsIdenticalAcrossSimulators) {
-  EXPECT_EQ(RunBatchedYcsbStats(false), RunBatchedYcsbStats(true))
-      << "event-driven diverged";
+  const KvMixOutcome serial = RunSkiplistKvMix(
+      index::TraversalMode::kBatched, cc::CcMode::kTimestamp, false);
+  const KvMixOutcome event = RunSkiplistKvMix(
+      index::TraversalMode::kBatched, cc::CcMode::kTimestamp, true);
+  // The run must reach the batch collector (its counters exist only then).
+  EXPECT_NE(serial.stats_json.find("\"batches_flushed\""),
+            std::string::npos);
+  EXPECT_EQ(serial.stats_json, event.stats_json) << "event-driven diverged";
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ class IndexPipelineTest : public ::testing::Test {
     cfg.skiplist.hazard_prevention = hazard_prevention;
     cfg.skiplist.n_scanners = n_scanners;
     coproc_ = std::make_unique<IndexCoprocessor>(db_.get(), 0, cfg);
-    sim_->AddComponent(coproc_.get());
+    sim_->AddComponent(coproc_.get(), /*partition=*/0);
     // A scratch area holding keys/payloads the ops reference.
     scratch_ = sim_->dram().Allocate(1 << 20);
     scratch_used_ = 0;

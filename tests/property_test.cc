@@ -48,7 +48,7 @@ TEST_P(HashInsertSurvival, AllInsertsSurvive) {
   cfg.max_inflight = 24;
   cfg.hash.pool_size = pool;
   index::IndexCoprocessor coproc(&database, 0, cfg);
-  sim.AddComponent(&coproc);
+  sim.AddComponent(&coproc, /*partition=*/0);
 
   sim::Addr scratch = sim.dram().Allocate(16 * n_ops);
   std::vector<comm::Envelope> ops;
@@ -120,7 +120,7 @@ TEST_P(SkiplistIntegrity, InvariantsAfterConcurrentInserts) {
   cfg.cc_unit = &to;
   cfg.max_inflight = 24;
   index::IndexCoprocessor coproc(&database, 0, cfg);
-  sim.AddComponent(&coproc);
+  sim.AddComponent(&coproc, /*partition=*/0);
 
   Rng rng(seed);
   constexpr uint32_t kOps = 48;

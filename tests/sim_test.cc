@@ -302,7 +302,7 @@ class OneShotReader : public Component {
 TEST(Simulator, RunUntilIdleDrivesComponents) {
   Simulator sim(Config());
   OneShotReader reader(&sim.dram(), 0x4000);
-  sim.AddComponent(&reader);
+  sim.AddComponent(&reader, /*partition=*/0);
   ASSERT_TRUE(sim.RunUntilIdle(/*max_cycles=*/1000));
   EXPECT_TRUE(reader.Idle());
   // Issue at cycle 1, latency 25, observed at the next tick.
@@ -331,7 +331,7 @@ TEST(Simulator, FastForwardMovesClockOnly) {
 TEST(Simulator, CollectStatsReportsClockAndDramChannels) {
   Simulator sim(Config());
   OneShotReader reader(&sim.dram(), 0x4000);
-  sim.AddComponent(&reader);
+  sim.AddComponent(&reader, /*partition=*/0);
   ASSERT_TRUE(sim.RunUntilIdle(/*max_cycles=*/1000));
 
   StatsRegistry reg;
