@@ -37,6 +37,12 @@
 //    default configuration. Each scan is a chain of dependent DRAM reads,
 //    so most cycles are quiescent waits: the sparse regime the
 //    event-driven default is for.
+//  * closed_loop — the scan leg's transactions driven the way perfbench
+//    and the latency benches drive the engine: host::RunClosedLoop keeps
+//    16 in flight per worker and steps in its default 50-cycle quantum,
+//    generating each transaction as a slot frees. Every other leg submits
+//    everything and drains, so this is the leg where the cost of a run
+//    call (one Step per quantum) shows.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -63,6 +69,8 @@ struct Leg {
   uint32_t dram_latency_cycles;
   workload::YcsbOptions::Mode ycsb_mode =
       workload::YcsbOptions::Mode::kReadOnly;
+  /// Drive host::RunClosedLoop instead of submitting everything up front.
+  bool closed_loop = false;
 };
 
 struct ModeResult {
@@ -98,15 +106,29 @@ ModeResult RunMode(const BenchArgs& args, const Leg& leg, bool event_driven,
   const uint64_t txns_per_worker = args.smoke ? 200 : args.quick ? 400
                                                                  : 2'000;
   Rng rng(args.seed);
-  host::TxnList txns;
-  for (uint32_t w = 0; w < leg.workers; ++w) {
-    for (uint64_t i = 0; i < txns_per_worker; ++i) {
-      txns.emplace_back(w, ycsb.MakeTxn(&rng, w));
-    }
-  }
-
   ModeResult mr;
-  mr.run = host::RunToCompletion(&engine, txns);
+  if (leg.closed_loop) {
+    host::ClosedLoopOptions copts;
+    copts.inflight_per_worker = 16;  // perfbench's closed-phase clients
+    copts.txns_per_worker = txns_per_worker;
+    const host::ClosedLoopResult c =
+        host::RunClosedLoop(&engine, ycsb.Factory(&rng), copts);
+    mr.run = host::RunResult{.submitted = c.submitted,
+                             .committed = c.committed,
+                             .failed = c.failed,
+                             .retries = c.retries,
+                             .cycles = c.cycles,
+                             .tps = c.tps,
+                             .wall_seconds = c.wall_seconds};
+  } else {
+    host::TxnList txns;
+    for (uint32_t w = 0; w < leg.workers; ++w) {
+      for (uint64_t i = 0; i < txns_per_worker; ++i) {
+        txns.emplace_back(w, ycsb.MakeTxn(&rng, w));
+      }
+    }
+    mr.run = host::RunToCompletion(&engine, txns);
+  }
   StatsRegistry engine_stats;
   engine.CollectStats(&engine_stats);
   mr.engine_stats_json = engine_stats.ToJson(0);
@@ -274,6 +296,10 @@ void Run(const BenchArgs& args, bench::BenchReport* report) {
   RunLeg(args,
          Leg{"scan", args.smoke ? 2u : 4u, 32, 1, 95,
              workload::YcsbOptions::Mode::kScanOnly},
+         &table, report);
+  RunLeg(args,
+         Leg{"closed_loop", args.smoke ? 2u : 4u, 32, 1, 95,
+             workload::YcsbOptions::Mode::kScanOnly, /*closed_loop=*/true},
          &table, report);
   table.Print();
   std::printf("(all modes asserted bit-identical: cycles, outcomes, "

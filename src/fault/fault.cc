@@ -72,6 +72,7 @@ void FaultScheduler::Attach(core::BionicDb* engine) {
 
 void FaultScheduler::Detach() {
   if (engine_ == nullptr) return;
+  Touch();  // its wake hint becomes kNeverWakes
   dram_->set_fault_hook(nullptr);
   engine_->fabric().set_fault_hook(nullptr);
   engine_ = nullptr;

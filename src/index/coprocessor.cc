@@ -16,6 +16,9 @@ IndexCoprocessor::IndexCoprocessor(db::Database* db,
           db, partition, config.skiplist, config.cc_unit, &results_)) {}
 
 bool IndexCoprocessor::Submit(const comm::Envelope& env) {
+  // A no-op inside a worker, whose tick submits; a coprocessor registered
+  // on its own is submitted to from outside its tick.
+  Touch();
   if (inflight() >= config_.max_inflight) {
     fc_cap_rejects_.Add();
     return false;

@@ -10,9 +10,8 @@ namespace bionicdb::sim {
 class Simulator;
 
 /// Wake hint meaning "nothing on this block's own schedule": in event-driven
-/// mode the block sleeps until another block touches it (Touch), until its
-/// DRAM lane delivers a completion, or until the host next calls the
-/// simulator.
+/// mode the block sleeps until it is touched (Touch) or its DRAM lane
+/// delivers a completion.
 inline constexpr uint64_t kNeverWakes = UINT64_MAX;
 
 /// A clocked hardware block. In per-cycle mode the simulator calls Tick
@@ -39,10 +38,11 @@ class Component {
   virtual bool Idle() const = 0;
 
   /// Event-driven scheduling hint, queried right after this block's own
-  /// Tick(now) (and at the start of every Step/RunUntil/RunUntilIdle call):
-  /// the earliest future cycle at which ticking this block could do
-  /// anything beyond the per-cycle accounting that SkipCycles bulk-applies.
-  /// The contract:
+  /// Tick(now), and whenever the simulator re-reads its whole schedule (the
+  /// first Step after AddComponent, FastForward, RunUntil or RunUntilIdle,
+  /// and after each RunUntil predicate): the earliest future cycle at which
+  /// ticking this block could do anything beyond the per-cycle accounting
+  /// that SkipCycles bulk-applies. The contract:
   ///
   ///   * A block may return `w > now + 1` only if Tick(c) for every cycle
   ///     c in (now, w) would leave all externally visible state unchanged,
@@ -51,10 +51,14 @@ class Component {
   ///     DRAM traffic (a retried Issue bumps reject counters, so retry
   ///     states must return now + 1).
   ///   * The hint may assume that nothing outside the block changes it
-  ///     while it sleeps, except through the three wake paths: a Touch, a
-  ///     completion on the DRAM lane the block issues on, and host code
-  ///     between run calls. Every other block keeps ticking meanwhile, so
-  ///     the hint must not rely on their wake points.
+  ///     while it sleeps, except through the two wake paths: a Touch, and
+  ///     a delivering completion on the DRAM lane the block issues on (a
+  ///     response pushed into a queue, or a write applied at completion; a
+  ///     posted completion delivers nothing and wakes nobody). Host code
+  ///     is no exception: between Step calls it must Touch any registered
+  ///     block it changes, because Step reuses the cached schedule. Every
+  ///     other block keeps ticking meanwhile, so the hint must not rely on
+  ///     their wake points.
   ///   * kNeverWakes means the block has no self-driven activity left and
   ///     waits for one of those wake paths.
   ///   * The default (now + 1) opts out of skipping entirely, so blocks
@@ -74,11 +78,12 @@ class Component {
   }
 
   /// Declares that this block is about to be changed from outside its own
-  /// Tick (a packet put into its inbox, a freeze, a submitted block). Call
-  /// it before the change: the simulator first charges the block's skipped
-  /// cycles against its pre-change state, then makes it due at its next
-  /// turn — this cycle if its turn has not come yet, else the next one. A
-  /// no-op for unregistered blocks and in per-cycle mode.
+  /// Tick (a packet put into its inbox, a freeze, a submitted block or
+  /// op), whether by another block's tick or by host code between run
+  /// calls. Call it before the change: the simulator first charges the
+  /// block's skipped cycles against its pre-change state, then makes it
+  /// due at its next turn — this cycle if its turn has not come yet, else
+  /// the next one. A no-op for unregistered blocks and in per-cycle mode.
   void Touch() {
     if (scheduler_ != nullptr) TouchScheduled();
   }

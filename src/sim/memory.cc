@@ -212,11 +212,16 @@ bool DramMemory::Enqueue(uint64_t now, Addr addr, bool is_write,
   if (!AdmitRequest(&lane, now, addr, is_write, &channel, &start)) {
     return false;
   }
-  if (!is_write) PrefetchLine(addr);
   const uint64_t complete_at = start + config_.dram_latency_cycles;
-  lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie, write_value,
-                            sink, snapshot_words, channel, is_write,
-                            apply_write});
+  if (sink == nullptr && !apply_write) {
+    lane.posted.push(Posted{complete_at, channel});
+  } else {
+    if (!is_write) PrefetchLines(addr, snapshot_words);
+    lane.pending.push(Pending{complete_at, lane.seq++, addr, cookie,
+                              write_value, sink, snapshot_words, channel,
+                              is_write, apply_write});
+    if (complete_at < lane.next_delivery) lane.next_delivery = complete_at;
+  }
   if (complete_at < lane.next_ready) lane.next_ready = complete_at;
   return true;
 }
@@ -259,6 +264,11 @@ void DramMemory::CollectStats(StatsScope scope, uint64_t now) const {
 
 void DramMemory::DrainLane(uint32_t lane_idx, uint64_t now) {
   Lane& lane = lanes_[lane_idx];
+  while (!lane.posted.empty() && lane.posted.top().complete_at <= now) {
+    lane.channels[lane.posted.top().channel].queued--;
+    lane.posted.pop();
+    --lane.in_flight;
+  }
   while (!lane.pending.empty() && lane.pending.top().complete_at <= now) {
     const Pending& p = lane.pending.top();
     lane.channels[p.channel].queued--;
@@ -279,8 +289,12 @@ void DramMemory::DrainLane(uint32_t lane_idx, uint64_t now) {
     lane.pending.pop();
     --lane.in_flight;
   }
-  lane.next_ready =
+  lane.next_delivery =
       lane.pending.empty() ? kNeverReady : lane.pending.top().complete_at;
+  lane.next_ready = lane.posted.empty()
+                        ? lane.next_delivery
+                        : std::min(lane.next_delivery,
+                                   lane.posted.top().complete_at);
 }
 
 }  // namespace bionicdb::sim

@@ -30,11 +30,13 @@
 //
 // Host storage (DESIGN.md section 15.5) never changes a modelled result:
 // each arena has a flat page table over the span its allocator handed out,
-// pages live in huge-page-advised anonymous mappings, and a timed read
-// prefetches its host line at issue so the completion finds it in cache.
+// pages live in huge-page-advised anonymous mappings, and a timed read with
+// a response prefetches the host lines its completion reads at issue, so
+// the completion finds them in cache.
 #ifndef BIONICDB_SIM_MEMORY_H_
 #define BIONICDB_SIM_MEMORY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <queue>
@@ -314,9 +316,14 @@ class DramMemory {
     if (!partitioned_ || partition == kHostPartition) return 0;
     return partition < lanes_.size() ? partition : 0;
   }
-  /// True when Tick(now) delivers at least one completion on `lane`.
+  /// True when Tick(now) delivers at least one completion on `lane` that
+  /// a block can see: a response into a sink, or a write applied at
+  /// completion. Posted completions (no sink, nothing applied) only free
+  /// their channel slot, so the simulator wakes no block for them; the
+  /// clock still stops at them (NextWakeCycle), which keeps channel
+  /// occupancy and backpressure exact.
   bool LaneDue(uint32_t lane, uint64_t now) const {
-    return now >= lanes_[lane].next_ready;
+    return now >= lanes_[lane].next_delivery;
   }
 
   uint64_t total_reads() const { return SumLanes(&Lane::total_reads); }
@@ -404,6 +411,17 @@ class DramMemory {
   };
   static_assert(sizeof(Pending) == 64, "Pending fills one cache line");
 
+  /// A posted completion: no sink and no applied write, so draining it
+  /// only frees its channel slot. Posted completions commute with every
+  /// other completion drained in the same Tick, so they need no sequence.
+  struct Posted {
+    uint64_t complete_at;
+    uint32_t channel;
+    bool operator>(const Posted& o) const {
+      return complete_at > o.complete_at;
+    }
+  };
+
   struct Channel {
     uint64_t busy_until = 0;
     uint32_t queued = 0;
@@ -414,16 +432,22 @@ class DramMemory {
     uint64_t queued_sum = 0;         // sum of occupancy sampled per issue
   };
 
-  /// One partition's private timing model: its own channel array, pending
-  /// queue and counters.
+  /// One partition's private timing model: its own channel array,
+  /// completion queues and counters.
   struct Lane {
     std::vector<Channel> channels;
+    /// Completions that deliver (a response or an applied write), in
+    /// (complete_at, seq) order.
     std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
         pending;
-    /// Cached pending.top().complete_at (kNeverReady when empty), so the
-    /// per-cycle Tick probe is one hot-field compare instead of a
-    /// priority-queue touch. Maintained on every push/pop.
+    std::priority_queue<Posted, std::vector<Posted>, std::greater<Posted>>
+        posted;
+    /// Earliest completion of either queue (kNeverReady when both are
+    /// empty), so the per-cycle Tick probe is one hot-field compare instead
+    /// of a priority-queue touch. Maintained on every push/pop.
     uint64_t next_ready = kNeverReady;
+    /// Earliest delivering completion (pending's head): LaneDue.
+    uint64_t next_delivery = kNeverReady;
     uint64_t seq = 0;
     uint64_t in_flight = 0;
     uint64_t total_reads = 0;
@@ -514,13 +538,27 @@ class DramMemory {
     return page != nullptr ? page : PageFor(addr);
   }
 
-  /// Starts loading the host cache line at `addr` if its page exists. A
-  /// timed read's completion snapshots that line and its requester then
-  /// compares keys in it, ~dram_latency_cycles later; the hint never
-  /// creates a page or changes a byte.
-  void PrefetchLine(Addr addr) const {
-    if (const uint8_t* page = TablePage(addr)) {
-      __builtin_prefetch(page + (addr & (kPageSize - 1)));
+  /// Starts loading the host lines a timed read's completion reads, if
+  /// `addr`'s page exists: [addr, addr + max(8 x snapshot_words, 64)),
+  /// cut at the page end. The completion snapshots those words and its
+  /// requester compares keys in them, ~dram_latency_cycles later. The hint
+  /// never creates a page or changes a byte.
+  void PrefetchLines(Addr addr, uint32_t snapshot_words) const {
+    const uint8_t* page = TablePage(addr);
+    if (page == nullptr) return;
+    const uint64_t off = addr & (kPageSize - 1);
+    const uint64_t len = std::max<uint64_t>(8ull * snapshot_words, 64);
+    const uint64_t end = std::min(off + len, kPageSize);
+    for (uint64_t line = off & ~uint64_t(63); line < end; line += 64) {
+      // GCC 12 at -O2 emits nothing for __builtin_prefetch (or
+      // _mm_prefetch) of this page-table-loaded address, so x86-64 issues
+      // the instruction itself; the ctest sim_prefetch_emitted checks the
+      // built library still holds it.
+#if defined(__x86_64__)
+      asm volatile("prefetcht0 %0" : : "m"(page[line]));
+#else
+      __builtin_prefetch(page + line);
+#endif
     }
   }
 

@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace bionicdb::sim {
 
@@ -29,6 +31,7 @@ void Simulator::AddComponent(Component* component) {
   idle_sample_.push_back(1);
   lane_of_.push_back(kNoLane);
   turn_ = components_.size();
+  resync_due_ = true;
   if (config_.event_driven) {
     component->scheduler_ = this;
     component->slot_ = uint32_t(components_.size() - 1);
@@ -45,8 +48,10 @@ void Simulator::FastForward(uint64_t target) {
     counters_.Add("fastforward_backwards_clamped");
     return;
   }
+  SettleAll();
   now_ = target;
   std::fill(settled_.begin(), settled_.end(), target);
+  resync_due_ = true;
 }
 
 void Simulator::TickOnce() {
@@ -88,6 +93,9 @@ void Simulator::TickOnce() {
 }
 
 void Simulator::Resync() {
+  // The re-read replaces cached samples, so charge every span against the
+  // samples it was run under first.
+  SettleAll();
   for (size_t i = 0; i < components_.size(); ++i) {
     Component* c = components_[i];
     lane_of_[i] = partition_of_[i] == DramMemory::kHostPartition
@@ -111,8 +119,31 @@ void Simulator::SettleSpan(size_t i, uint64_t through) {
 }
 
 void Simulator::SettleAll() {
+  if (!config_.event_driven) return;  // per-cycle ticks charge as they go
   for (size_t i = 0; i < components_.size(); ++i) Settle(i, now_);
 }
+
+#ifndef NDEBUG
+void Simulator::CheckSchedule() const {
+  for (size_t i = 0; i < components_.size(); ++i) {
+    // Due next cycle and charged through this one (a touched block, or one
+    // that wants every cycle): its tick re-reads both before they are used.
+    if (wake_[i] == now_ + 1 && settled_[i] == now_) continue;
+    const Component* c = components_[i];
+    const bool idle_ok = (idle_sample_[i] != 0) == c->Idle();
+    const bool wake_ok =
+        wake_[i] <= std::max(c->NextWakeCycle(now_), now_ + 1);
+    if (!idle_ok || !wake_ok) {
+      std::fprintf(stderr,
+                   "sim: block '%s' changed between Step calls at cycle "
+                   "%llu without Component::Touch (cached %s out of date)\n",
+                   c->name().c_str(), (unsigned long long)now_,
+                   idle_ok ? "wake hint" : "Idle() sample");
+      std::abort();
+    }
+  }
+}
+#endif
 
 void Simulator::Touch(size_t i) {
   if (i == turn_) return;  // its own tick: the hint is re-read after it
@@ -177,9 +208,15 @@ void Simulator::Advance(uint64_t limit) {
 void Simulator::Step(uint64_t cycles) {
   const uint64_t target = now_ + cycles;
   if (config_.event_driven) {
-    Resync();
+    // The schedule carries over from the last Step: host code between the
+    // two changed blocks only through Touch (sim/component.h).
+    if (resync_due_) {
+      Resync();
+      resync_due_ = false;
+    } else {
+      CheckSchedule();
+    }
     while (now_ < target) Advance(target);
-    SettleAll();
   } else {
     for (uint64_t i = 0; i < cycles; ++i) TickOnce();
   }
@@ -189,9 +226,10 @@ bool Simulator::RunUntil(const std::function<bool()>& done,
                          uint64_t max_cycles) {
   uint64_t limit = (max_cycles == UINT64_MAX) ? UINT64_MAX : now_ + max_cycles;
   if (config_.event_driven) {
+    // `done` reads settled blocks and may change any of them, so every
+    // hint is re-read after it, and again by the next Step.
+    resync_due_ = true;
     for (;;) {
-      // `done` reads settled blocks and may change any of them, so every
-      // hint is re-read after it.
       SettleAll();
       if (done()) return true;
       if (now_ >= limit) return false;
@@ -208,6 +246,8 @@ bool Simulator::RunUntil(const std::function<bool()>& done,
 
 bool Simulator::RunUntilIdle(uint64_t max_cycles) {
   uint64_t limit = (max_cycles == UINT64_MAX) ? UINT64_MAX : now_ + max_cycles;
+  // Drain callers resubmit work, so the next Step re-reads every hint.
+  resync_due_ = true;
   if (AllIdle()) return true;
   bool fired = true;
   if (config_.event_driven) {
@@ -254,7 +294,8 @@ bool Simulator::AllIdle() const {
   return true;
 }
 
-void Simulator::CollectStats(StatsScope scope) const {
+void Simulator::CollectStats(StatsScope scope) {
+  SettleAll();
   scope.SetCounter("cycles", now_);
   scope.SetGauge("clock_mhz", config_.clock_mhz);
   scope.MergeCounterSet(counters_);

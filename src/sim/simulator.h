@@ -23,12 +23,16 @@ namespace bionicdb::sim {
 ///    registered block is scheduled on its own. A block ticks only at
 ///    cycles where it is due — its NextWakeCycle hint has come, another
 ///    block touched it (Component::Touch), or its DRAM lane delivers —
-///    and keeps its registration-order turn within such a cycle. A
-///    sleeping block is settled lazily: its SkipCycles and its cached
-///    busy/idle sample are charged when it next ticks, when it is touched,
-///    or when the run call returns. The clock jumps straight to the
-///    earliest block wake or DRAM completion, so cycles in which no block
-///    is due cost nothing.
+///    and keeps its registration-order turn within such a cycle. The
+///    schedule (each block's wake cycle and Idle() sample) carries over
+///    from one Step to the next; it is re-read from every block only on
+///    the first Step after AddComponent, FastForward, RunUntil or
+///    RunUntilIdle. A sleeping block is settled lazily: its SkipCycles and
+///    its cached busy/idle sample are charged when it next ticks, when it
+///    is touched, when its lane wakes it, or when something reads the
+///    accounting (SettleAll). The clock jumps straight to the earliest
+///    block wake or DRAM completion, so cycles in which no block is due
+///    cost nothing.
 ///
 ///  * Per-cycle (event_driven = false): each registered component ticks
 ///    every cycle, in registration order, after DRAM delivers completions
@@ -47,12 +51,16 @@ class Simulator {
 
   /// Registers a block belonging to partition `partition`: it ticks under
   /// that partition's DramMemory context, so its allocations and timed
-  /// accesses use the partition's arena and lane, and every completion on
-  /// that lane wakes it. A block that issues timed DRAM registers here; on
-  /// an unpartitioned memory, partition 0 routes to the one arena and lane.
+  /// accesses use the partition's arena and lane, and every delivering
+  /// completion on that lane wakes it (see Component::NextWakeCycle). A
+  /// block that issues timed DRAM registers here; on an unpartitioned
+  /// memory, partition 0 routes to the one arena and lane.
   void AddComponent(Component* component, uint32_t partition);
 
-  /// Runs `cycles` cycles.
+  /// Runs `cycles` cycles. Event-driven, it returns with sleeping blocks
+  /// unsettled: their skipped cycles are charged later (see SettleAll).
+  /// Host code that changes a registered block before the next Step must
+  /// touch it (Component::Touch).
   void Step(uint64_t cycles = 1);
 
   /// Runs until `done()` returns true or `max_cycles` elapse.
@@ -62,12 +70,23 @@ class Simulator {
   /// which some block may have ticked, with every block settled, and those
   /// are the only cycles where component state can change. `done` may
   /// change blocks (submit work); the simulator re-reads every hint after
-  /// it. To stop at a cycle, use Step or the `max_cycles` budget.
+  /// it. To stop at a cycle, use Step or the `max_cycles` budget. Returns
+  /// with every block settled.
   bool RunUntil(const std::function<bool()>& done,
                 uint64_t max_cycles = UINT64_MAX);
 
   /// Runs until every component and the DRAM report Idle (or budget).
+  /// Returns with every block settled.
   bool RunUntilIdle(uint64_t max_cycles = UINT64_MAX);
+
+  /// Charges every sleeping block's skipped cycles through now(): its
+  /// SkipCycles and its cached busy/idle sample. Blocks' own per-cycle
+  /// counters and component_cycles() are exact only after a settle.
+  /// CollectStats, component_cycles(), FastForward, RunUntil and
+  /// RunUntilIdle settle for their callers; code that reads a block's
+  /// counters straight after Step calls this first. A no-op in per-cycle
+  /// mode, where every tick charges its own cycle.
+  void SettleAll();
 
   uint64_t now() const { return now_; }
 
@@ -76,8 +95,8 @@ class Simulator {
   /// paper section 4.8). Requires target >= now(); a backwards target is
   /// clamped (the clock never moves back) and counted under the
   /// "fastforward_backwards_clamped" counter so callers violating the
-  /// precondition are visible in the stats dump. The jumped cycles are
-  /// charged to no block.
+  /// precondition are visible in the stats dump. Blocks are settled first;
+  /// the jumped cycles are charged to no block.
   void FastForward(uint64_t target);
   DramMemory& dram() { return dram_; }
   const TimingConfig& config() const { return config_; }
@@ -86,12 +105,13 @@ class Simulator {
   /// Busy/idle cycle attribution for one registered component. A cycle is
   /// "busy" when the component reported outstanding work (!Idle()) after
   /// its tick — the coarse per-block utilisation view; finer stall
-  /// attribution lives inside the blocks themselves.
+  /// attribution lives inside the blocks themselves. Settles first.
   struct ComponentCycles {
     uint64_t busy = 0;
     uint64_t idle = 0;
   };
-  const std::vector<ComponentCycles>& component_cycles() const {
+  const std::vector<ComponentCycles>& component_cycles() {
+    SettleAll();
     return component_cycles_;
   }
   const std::vector<Component*>& components() const { return components_; }
@@ -107,9 +127,11 @@ class Simulator {
   };
   const WarpStats& warp_stats() const { return warp_stats_; }
 
-  /// Dumps simulator-level stats (clock, per-component busy/idle, DRAM
-  /// channel utilisation) under `scope`.
-  void CollectStats(StatsScope scope) const;
+  /// Settles every block, then dumps simulator-level stats (clock,
+  /// per-component busy/idle, DRAM channel utilisation) under `scope`.
+  /// Settling first also makes every block's own counters exact for a
+  /// caller that collects them next (core::BionicDb::CollectStats).
+  void CollectStats(StatsScope scope);
 
  private:
   friend class Component;
@@ -119,8 +141,9 @@ class Simulator {
 
   // --- Event-driven scheduling -------------------------------------------
 
-  /// Re-reads every block's Idle() sample and wake hint and its DRAM lane:
-  /// host code may have changed any block since the last run call.
+  /// Settles every block, then re-reads its Idle() sample, wake hint and
+  /// DRAM lane: the first Step after AddComponent, FastForward, RunUntil
+  /// or RunUntilIdle, and RunUntil after each `done()`.
   void Resync();
   /// Advances the clock to the next cycle that needs work — the earliest
   /// block wake or DRAM completion, or `limit` — and runs that cycle: the
@@ -134,8 +157,16 @@ class Simulator {
     if (settled_[i] < through) SettleSpan(i, through);
   }
   void SettleSpan(size_t i, uint64_t through);
-  /// Settles every block through now_.
-  void SettleAll();
+  /// A Step that reuses the schedule first checks it in debug builds: for
+  /// every block that still has cycles to charge or to sleep through, the
+  /// cached Idle() sample must equal Idle() and the cached wake must not be
+  /// later than its hint. A failure aborts naming the block, which host
+  /// code changed without touching it.
+#ifdef NDEBUG
+  void CheckSchedule() const {}
+#else
+  void CheckSchedule() const;
+#endif
   /// Component::Touch for slot `i` (contract in sim/component.h).
   void Touch(size_t i);
 
@@ -158,6 +189,8 @@ class Simulator {
   std::vector<uint8_t> idle_sample_;
   std::vector<uint32_t> lane_of_;
   static constexpr uint32_t kNoLane = UINT32_MAX;
+  /// The schedule above must be re-read before the next Step uses it.
+  bool resync_due_ = true;
   /// Slot whose turn the current cycle is at; components_.size() outside
   /// the block loop (every turn of the cycle is over).
   size_t turn_ = 0;

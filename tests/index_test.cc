@@ -129,6 +129,20 @@ TEST_F(IndexPipelineTest, HashSearchHitAndMiss) {
   }
 }
 
+TEST_F(IndexPipelineTest, SubmitBetweenStepsWakesTheCoprocessor) {
+  // Step reuses the schedule it left off with, in which the idle
+  // coprocessor sleeps for good: Submit from host code must touch it.
+  Init(db::IndexKind::kHash);
+  uint64_t payload = 11;
+  ASSERT_TRUE(db_->LoadU64(0, 0, 3, &payload, 8).ok());
+  sim_->Step(100);
+  ASSERT_TRUE(coproc_->Submit(MakeOp(isa::Opcode::kSearch, 3, 0)));
+  for (int i = 0; i < 100 && coproc_->results().empty(); ++i) sim_->Step(50);
+  ASSERT_EQ(coproc_->results().size(), 1u);
+  EXPECT_EQ(coproc_->results().front().index_result().status,
+            isa::CpStatus::kOk);
+}
+
 TEST_F(IndexPipelineTest, HashSearchTakesAtLeastThreeMemoryTrips) {
   Init(db::IndexKind::kHash);
   uint64_t payload = 1;

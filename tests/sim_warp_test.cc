@@ -2,7 +2,9 @@
 // 10): TimingConfig::event_driven must be invisible in everything except
 // wall-clock time. Mock-component tests pin the warp mechanics (clock
 // positions, tick counts, Step/RunUntil boundary semantics, busy/idle
-// attribution, per-block sleeping and Touch ordering); the engine tests
+// attribution, per-block sleeping, Touch ordering, the schedule kept
+// across Step calls and lane wakes only on delivering completions); the
+// engine tests
 // run real workloads — YCSB variants, TPC-C, multisite on two and four
 // partitions, seeded fault chaos, a coprocessor held at its in-flight cap
 // — in both modes and assert the final cycle count, commit/abort outcomes
@@ -98,6 +100,7 @@ TEST(SimWarp, StepBoundaryNeverOvershoots) {
   fast.AddComponent(&pulse);
   fast.Step(123);
   EXPECT_EQ(fast.now(), 123u);
+  fast.SettleAll();  // Step returns with sleeping blocks unsettled
   EXPECT_EQ(pulse.real_ticks_ + pulse.skipped_, 123u);
   fast.Step(1);
   EXPECT_EQ(fast.now(), 124u);
@@ -281,6 +284,7 @@ TouchRun RunTouch(bool event_driven, bool poker_first) {
     sim.AddComponent(&poker);
   }
   sim.Step(1'000);
+  sim.SettleAll();  // Step returns with sleeping blocks unsettled
   TouchRun out;
   out.sleeper_ticks = sleeper.real_ticks_ + sleeper.skipped_;
   out.sleeper_real_ticks = sleeper.real_ticks_;
@@ -315,6 +319,110 @@ TEST(SimWarp, TouchAfterTheTouchedBlocksTurnActsNextCycle) {
   const TouchRun event = RunTouch(true, /*poker_first=*/false);
   ExpectTouchRunsMatch(base, event);
   EXPECT_EQ(event.work_cycles, (std::vector<uint64_t>{501, 502, 503}));
+}
+
+/// Sleeps for good from the start, counting the simulator's reads of its
+/// hint and its settles.
+class CountingSleeper : public sim::Component {
+ public:
+  CountingSleeper() : sim::Component("counting_sleeper") {}
+
+  void Tick(uint64_t) override { ++real_ticks_; }
+  bool Idle() const override { return true; }
+  uint64_t NextWakeCycle(uint64_t) const override {
+    ++hint_reads_;
+    return sim::kNeverWakes;
+  }
+  void SkipCycles(uint64_t now, uint64_t count) override {
+    (void)now;
+    ++skip_calls_;
+    skipped_ += count;
+  }
+
+  uint64_t real_ticks_ = 0;
+  mutable uint64_t hint_reads_ = 0;
+  uint64_t skip_calls_ = 0;
+  uint64_t skipped_ = 0;
+};
+
+TEST(SimWarp, StepKeepsTheScheduleAcrossCalls) {
+  // The host loops step in 50-cycle quanta. Only the first Step reads the
+  // sleeping block's hint; later Steps reuse the schedule and leave the
+  // block unsettled, and one SettleAll charges the whole span at once.
+  sim::Simulator sim(EventDriven());
+  CountingSleeper block;
+  sim.AddComponent(&block);
+  sim.Step(50);
+  sim.SettleAll();
+  const uint64_t hint_reads = block.hint_reads_;
+  const uint64_t skip_calls = block.skip_calls_;
+  const uint64_t skipped = block.skipped_;
+  EXPECT_EQ(hint_reads, 1u);
+  EXPECT_EQ(skipped, 50u);
+  for (int i = 0; i < 100; ++i) sim.Step(50);
+#ifdef NDEBUG
+  EXPECT_EQ(block.hint_reads_, hint_reads);
+#else
+  // The debug schedule check reads every hint once per Step.
+  EXPECT_EQ(block.hint_reads_, hint_reads + 100);
+#endif
+  EXPECT_EQ(block.skip_calls_, skip_calls);
+  sim.SettleAll();
+  EXPECT_EQ(block.skip_calls_, skip_calls + 1);
+  EXPECT_EQ(block.skipped_ - skipped, 5'000u);
+  EXPECT_EQ(block.real_ticks_, 0u);
+  EXPECT_EQ(sim.component_cycles()[0].idle, sim.now());
+}
+
+/// At its first tick issues a posted write (no sink) and schedules its
+/// own wake `gap` cycles later, where it issues a read with a response;
+/// then sleeps until the response arrives. Records every tick.
+class PostedThenRead : public sim::Component {
+ public:
+  PostedThenRead(sim::DramMemory* dram, uint64_t gap)
+      : sim::Component("posted_then_read"), dram_(dram), gap_(gap) {}
+
+  void Tick(uint64_t now) override {
+    ticks_.push_back(now);
+    if (write_at_ == 0) {
+      ASSERT_TRUE(dram_->Issue(now, 0x4000, /*is_write=*/true, nullptr, 0));
+      write_at_ = now;
+    } else if (now == write_at_ + gap_) {
+      ASSERT_TRUE(dram_->Issue(now, 0x8000, /*is_write=*/false, &resp_, 0));
+    } else if (!resp_.empty()) {
+      resp_.pop_front();
+      done_ = true;
+    }
+  }
+  bool Idle() const override { return done_; }
+  uint64_t NextWakeCycle(uint64_t now) const override {
+    if (write_at_ == 0) return now + 1;
+    return now < write_at_ + gap_ ? write_at_ + gap_ : sim::kNeverWakes;
+  }
+
+  sim::DramMemory* dram_;
+  uint64_t gap_;
+  uint64_t write_at_ = 0;
+  sim::MemResponseQueue resp_;
+  bool done_ = false;
+  std::vector<uint64_t> ticks_;
+};
+
+TEST(SimWarp, PostedCompletionWakesNobody) {
+  // The posted write completes while the block sleeps toward its own
+  // wake; its lane delivers nothing the block can see, so the block ticks
+  // only at its first cycle, its own wake and the read's response.
+  sim::TimingConfig timing = EventDriven();
+  timing.dram_latency_cycles = 40;
+  sim::Simulator sim(timing);
+  PostedThenRead block(&sim.dram(), /*gap=*/100);
+  sim.AddComponent(&block, /*partition=*/0);
+  ASSERT_TRUE(sim.RunUntilIdle(10'000));
+  ASSERT_EQ(block.ticks_.size(), 3u);
+  EXPECT_EQ(block.ticks_[0], 1u);
+  EXPECT_EQ(block.ticks_[1], 101u);
+  EXPECT_EQ(block.ticks_[2], 101u + 40u);
+  EXPECT_TRUE(sim.dram().Idle());
 }
 
 // --- Engine differential runs ------------------------------------------
