@@ -50,6 +50,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/report.h"
+#include "common/parallel.h"
 #include "workload/ycsb.h"
 
 namespace bionicdb {
@@ -266,7 +267,7 @@ void RunCalibration(bench::BenchReport* report) {
   }
   StatsRegistry& reg = report->AddRun("calibration");
   reg.SetGauge("host_ops_per_second", best_ops);
-  reg.SetCounter("host_hardware_threads", host::HostHardwareThreads());
+  reg.SetCounter("host_hardware_threads", HostHardwareThreads());
   reg.SetCounter("iterations", kIters);
   reg.SetCounter("checksum", sink & 0xffff);
 }

@@ -20,6 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/report.h"
+#include "common/parallel.h"
 #include "workload/ycsb.h"
 
 namespace bionicdb {
@@ -142,7 +143,7 @@ void Run(const BenchArgs& args, bench::BenchReport* report) {
   table.Print();
   std::printf("(%zu sweep points merged; fanned out over %u host threads; "
               "point 0 asserted identical to a serial re-run)\n",
-              results.size(), host::HostHardwareThreads());
+              results.size(), HostHardwareThreads());
 }
 
 }  // namespace

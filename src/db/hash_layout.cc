@@ -1,6 +1,9 @@
 #include "db/hash_layout.h"
 
+#include <cassert>
+
 #include "common/hash.h"
+#include "db/schema.h"
 
 namespace bionicdb::db {
 
@@ -12,16 +15,19 @@ uint32_t RoundUpPow2(uint32_t v) {
 }
 }  // namespace
 
-HashTableLayout::HashTableLayout(sim::DramMemory* dram, uint32_t n_buckets)
-    : dram_(dram) {
+HashTableLayout::HashTableLayout(sim::DramMemory* dram, uint32_t partition,
+                                 uint32_t n_buckets)
+    : dram_(dram), partition_(partition) {
+  // Past 2^31 the doubling in RoundUpPow2 wraps to 0 and never ends.
+  assert(n_buckets <= kMaxHashBuckets);
   uint32_t n = RoundUpPow2(n_buckets == 0 ? 1 : n_buckets);
   mask_ = n - 1;
   shift_ = 64;
   for (uint32_t v = n; v > 1; v >>= 1) --shift_;
-  // No zero-fill: Allocate never hands out an address twice and memory
+  // No zero-fill: AllocateIn never hands out an address twice and memory
   // nobody wrote reads as zero, so every bucket of a fresh table already
   // reads kNullAddr (an empty chain).
-  bucket_base_ = dram_->Allocate(8ull * n);
+  bucket_base_ = dram_->AllocateIn(partition_, 8ull * n);
 }
 
 uint64_t HashTableLayout::HashKey(const uint8_t* key, uint16_t key_len) {
@@ -32,8 +38,9 @@ sim::Addr HashTableLayout::Insert(const uint8_t* key, uint16_t key_len,
                                   const uint8_t* payload,
                                   uint32_t payload_len, Timestamp write_ts,
                                   uint8_t flags) {
-  sim::Addr tuple = AllocateTuple(dram_, /*height=*/0, key, key_len, payload,
-                                  payload_len, write_ts, flags);
+  sim::Addr tuple = AllocateTuple(dram_, partition_, /*height=*/0, key,
+                                  key_len, payload, payload_len, write_ts,
+                                  flags);
   sim::Addr slot = BucketSlot(HashKey(key, key_len));
   sim::Addr old_head = dram_->Read64(slot);
   TupleAccessor(dram_, tuple).set_next(0, old_head);

@@ -24,9 +24,11 @@ namespace bionicdb::db {
 
 class HashTableLayout {
  public:
-  /// Allocates the bucket array (zero-initialised = empty chains).
-  /// `n_buckets` is rounded up to a power of two.
-  HashTableLayout(sim::DramMemory* dram, uint32_t n_buckets);
+  /// Allocates the bucket array (zero-initialised = empty chains) in
+  /// `partition`'s arena, where Insert allocates its tuples too.
+  /// `n_buckets` (at most kMaxHashBuckets) is rounded up to a power of two.
+  HashTableLayout(sim::DramMemory* dram, uint32_t partition,
+                  uint32_t n_buckets);
 
   /// DRAM address of the bucket-head slot for a hash value.
   sim::Addr BucketSlot(uint64_t hash) const {
@@ -66,6 +68,7 @@ class HashTableLayout {
 
  private:
   sim::DramMemory* dram_;
+  uint32_t partition_;
   sim::Addr bucket_base_;
   uint64_t mask_;
   uint32_t shift_;  // 64 - log2(n_buckets)

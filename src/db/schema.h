@@ -26,9 +26,20 @@ struct TableSchema {
   /// True when the table is replicated read-only in every partition
   /// (the paper replicates TPC-C's Item table).
   bool replicated = false;
-  /// Hash tables are sized as `hash_buckets_per_partition` entries.
+  /// Hash tables are sized as `hash_buckets` entries per partition, at
+  /// most kMaxHashBuckets.
   uint32_t hash_buckets = 1 << 16;
 };
+
+/// Most buckets a hash table may have: Database::CreateTable rejects more.
+constexpr uint32_t kMaxHashBuckets = 1u << 31;
+
+/// A bucket count computed in 64 bits, as a TableSchema::hash_buckets
+/// value: a count past uint32_t saturates instead of wrapping, so
+/// CreateTable rejects it rather than building a table that is too small.
+inline uint32_t HashBucketsFor(uint64_t buckets) {
+  return buckets > UINT32_MAX ? UINT32_MAX : uint32_t(buckets);
+}
 
 }  // namespace bionicdb::db
 

@@ -4,11 +4,12 @@
 
 namespace bionicdb::db {
 
-SkiplistLayout::SkiplistLayout(sim::DramMemory* dram, uint64_t height_seed)
-    : dram_(dram), height_rng_(height_seed) {
-  head_ = AllocateTuple(dram_, kSkiplistMaxHeight, /*key=*/nullptr,
-                        /*key_len=*/0, /*payload=*/nullptr, /*payload_len=*/0,
-                        /*write_ts=*/0, /*flags=*/0);
+SkiplistLayout::SkiplistLayout(sim::DramMemory* dram, uint32_t partition,
+                               uint64_t height_seed)
+    : dram_(dram), partition_(partition), height_rng_(height_seed) {
+  head_ = AllocateTuple(dram_, partition_, kSkiplistMaxHeight,
+                        /*key=*/nullptr, /*key_len=*/0, /*payload=*/nullptr,
+                        /*payload_len=*/0, /*write_ts=*/0, /*flags=*/0);
 }
 
 uint8_t SkiplistLayout::NextHeight() {
@@ -46,8 +47,8 @@ sim::Addr SkiplistLayout::Insert(const uint8_t* key, uint16_t key_len,
   sim::Addr preds[kSkiplistMaxHeight];
   FindPredecessors(key, key_len, preds);
   uint8_t height = NextHeight();
-  sim::Addr tower = AllocateTuple(dram_, height, key, key_len, payload,
-                                  payload_len, write_ts, flags);
+  sim::Addr tower = AllocateTuple(dram_, partition_, height, key, key_len,
+                                  payload, payload_len, write_ts, flags);
   TupleAccessor t(dram_, tower);
   for (uint8_t level = 0; level < height; ++level) {
     TupleAccessor pred(dram_, preds[level]);

@@ -29,7 +29,10 @@ constexpr uint8_t kSkiplistMaxHeight = 20;
 
 class SkiplistLayout {
  public:
-  SkiplistLayout(sim::DramMemory* dram, uint64_t height_seed);
+  /// Allocates the head tower in `partition`'s arena, where Insert
+  /// allocates its towers too.
+  SkiplistLayout(sim::DramMemory* dram, uint32_t partition,
+                 uint64_t height_seed);
 
   sim::Addr head() const { return head_; }
   uint8_t max_height() const { return kSkiplistMaxHeight; }
@@ -79,6 +82,7 @@ class SkiplistLayout {
                    sim::Addr tower) const;
 
   sim::DramMemory* dram_;
+  uint32_t partition_;
   sim::Addr head_;
   Rng height_rng_;
 };

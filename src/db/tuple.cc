@@ -29,12 +29,12 @@ uint64_t TupleFootprint(uint8_t height, uint16_t key_len,
   return kTupleHeaderSize + 8ull * links + PadTo8(key_len) + payload_len;
 }
 
-sim::Addr AllocateTuple(sim::DramMemory* dram, uint8_t height,
-                        const uint8_t* key, uint16_t key_len,
+sim::Addr AllocateTuple(sim::DramMemory* dram, uint32_t partition,
+                        uint8_t height, const uint8_t* key, uint16_t key_len,
                         const uint8_t* payload, uint32_t payload_len,
                         Timestamp write_ts, uint8_t flags) {
-  sim::Addr addr =
-      dram->Allocate(TupleFootprint(height, key_len, payload_len));
+  sim::Addr addr = dram->AllocateIn(
+      partition, TupleFootprint(height, key_len, payload_len));
   dram->Write64(addr + 0, write_ts);
   dram->Write64(addr + 8, 0);  // read_ts
   dram->Write8(addr + 16, flags);

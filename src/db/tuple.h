@@ -97,10 +97,12 @@ class TupleAccessor {
   sim::Addr addr_;
 };
 
-/// Allocates and initialises a tuple in DRAM. `height` is 0 for a hash
-/// node. Links are initialised to null; timestamps/flags to the arguments.
-/// Returns the tuple address.
-sim::Addr AllocateTuple(sim::DramMemory* dram, uint8_t height,
+/// Allocates and initialises a tuple in `partition`'s DRAM arena (see
+/// DramMemory::AllocateIn). `height` is 0 for a hash node. Links are
+/// initialised to null; timestamps/flags to the arguments. Returns the
+/// tuple address.
+sim::Addr AllocateTuple(sim::DramMemory* dram, uint32_t partition,
+                        uint8_t height,
                         const uint8_t* key, uint16_t key_len,
                         const uint8_t* payload, uint32_t payload_len,
                         Timestamp write_ts, uint8_t flags);

@@ -1,12 +1,11 @@
 #include "host/driver.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <thread>
 
+#include "common/parallel.h"
 #include "common/random.h"
 
 namespace bionicdb::host {
@@ -104,11 +103,6 @@ RunResult RunToCompletion(core::BionicDb* engine, const TxnList& txns,
   CheckAccounting("RunToCompletion", result.submitted,
                   result.committed + result.failed);
   return result;
-}
-
-uint32_t HostHardwareThreads() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n > 0 ? n : 1;  // 0 = "unknown" per the standard
 }
 
 ClosedLoopResult RunClosedLoop(core::BionicDb* engine,
@@ -374,27 +368,8 @@ std::vector<SweepResult> RunSweep(std::vector<SweepJob> jobs,
                                   uint32_t max_hosts) {
   std::vector<SweepResult> results(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) results[i].label = jobs[i].label;
-  if (jobs.empty()) return results;
-  uint32_t width = max_hosts == 0 ? HostHardwareThreads()
-                                  : std::min(max_hosts, HostHardwareThreads());
-  width = uint32_t(std::min<size_t>(width, jobs.size()));
-  if (width == 0) width = 1;
-  // Shared claim cursor: each worker owns whichever jobs it claims, and a
-  // job's registry is touched only by that worker until the joins below
-  // publish everything to the caller.
-  std::atomic<size_t> next{0};
-  auto work = [&] {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      jobs[i].run(&results[i].stats);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(width - 1);
-  for (uint32_t k = 1; k < width; ++k) pool.emplace_back(work);
-  work();  // the calling thread is worker 0
-  for (std::thread& t : pool) t.join();
+  ParallelFor(jobs.size(), max_hosts,
+              [&](size_t i) { jobs[i].run(&results[i].stats); });
   return results;
 }
 

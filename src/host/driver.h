@@ -54,10 +54,6 @@ using TxnList = std::vector<std::pair<db::WorkerId, sim::Addr>>;
 RunResult RunToCompletion(core::BionicDb* engine, const TxnList& txns,
                           bool retry_aborts = true, uint32_t max_rounds = 50);
 
-/// Hardware threads available on the host, never reported as zero: RunSweep's
-/// default fan-out width, and host provenance in speed reports.
-uint32_t HostHardwareThreads();
-
 // --- Closed-loop driving with latency measurement -------------------------
 
 /// Produces the next transaction block for `worker` (a fresh allocation per
@@ -236,15 +232,18 @@ struct SweepResult {
   StatsRegistry stats;
 };
 
-/// Runs every job, fanning out across host cores: the calling thread is
-/// worker 0 and spawned threads claim jobs from a shared cursor, so an
-/// N-point sweep costs max(points/cores) engine runs of wall clock instead
-/// of their sum. This is how the simulator uses more than one host core:
-/// each engine ticks on one thread, and independent engines run side by
-/// side. Results come back in job order regardless of completion order,
-/// and each job's registry is written only by the thread that ran it, so a
-/// sweep's merged report is deterministic for a fixed job list.
-/// `max_hosts` caps the fan-out (0 = all hardware threads).
+/// Runs every job, fanning out across host cores through ParallelFor
+/// (common/parallel.h): the calling thread is worker 0 and spawned threads
+/// claim jobs from a shared cursor, so an N-point sweep costs
+/// max(points/cores) engine runs of wall clock instead of their sum. Each
+/// engine ticks on one thread, and independent engines run side by side.
+/// Results come back in job order regardless of completion order, and each
+/// job's registry is written only by the thread that ran it, so a sweep's
+/// merged report is deterministic for a fixed job list. `max_hosts` caps
+/// the fan-out (0 = all hardware threads). A job that throws stops further
+/// claims; once every thread has joined, the lowest-index job's exception
+/// is rethrown here. A job's engine populates its partitions serially,
+/// since it already runs inside the sweep's parallel loop.
 std::vector<SweepResult> RunSweep(std::vector<SweepJob> jobs,
                                   uint32_t max_hosts = 0);
 

@@ -127,8 +127,9 @@ void HashPipeline::TickInstall(uint64_t now) {
   }
   // New tuples are born dirty; COMMIT publishes them (section 4.7).
   sim::Addr tuple = db::AllocateTuple(
-      dram_, /*height=*/0, key.data(), uint16_t(key.size()), payload.data(),
-      uint32_t(payload.size()), /*write_ts=*/0, db::kFlagDirty);
+      dram_, partition_, /*height=*/0, key.data(), uint16_t(key.size()),
+      payload.data(), uint32_t(payload.size()), /*write_ts=*/0,
+      db::kFlagDirty);
   db::TupleAccessor t(dram_, tuple);
   t.set_next(0, old_head);
   op.new_tuple = tuple;

@@ -472,9 +472,9 @@ void SkiplistPipeline::Terminal(uint64_t now, uint32_t slot) {
         dram_->ReadBytes(req.payload_src, payload.data(), payload.size());
       }
       sim::Addr tower = db::AllocateTuple(
-          dram_, op.new_height, op.key.data(), uint16_t(op.key.size()),
-          payload.data(), uint32_t(payload.size()), /*write_ts=*/0,
-          db::kFlagDirty);
+          dram_, partition_, op.new_height, op.key.data(),
+          uint16_t(op.key.size()), payload.data(), uint32_t(payload.size()),
+          /*write_ts=*/0, db::kFlagDirty);
       db::TupleAccessor t(dram_, tower);
       // Install from the RECORDED path (succs may be stale when hazard
       // prevention is off — that is exactly the Fig. 7a lost-tower bug).

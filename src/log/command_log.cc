@@ -206,7 +206,7 @@ Status Checkpoint::Restore(db::Database* database) const {
     for (const TupleRecord& rec : dump.tuples) {
       // Replicated tables appear once per partition in the dump; loading
       // them partition-by-partition (not fanned out) preserves multiplicity.
-      BIONICDB_RETURN_IF_ERROR(database->LoadOneForRestore(
+      BIONICDB_RETURN_IF_ERROR(database->LoadOne(
           dump.table, dump.partition, rec.key.data(),
           uint16_t(rec.key.size()), rec.payload.data(),
           uint32_t(rec.payload.size()), rec.write_ts));

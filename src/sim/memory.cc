@@ -10,7 +10,8 @@ namespace bionicdb::sim {
 
 namespace {
 
-/// Transparent huge page size on x86-64 and arm64 (4 KiB base pages).
+/// Transparent huge page size on x86-64 and arm64 (4 KiB base pages), and
+/// the page store's block size.
 constexpr uint64_t kHugePageBytes = 2ull << 20;
 /// One PageStore mapping: 16 huge pages, 512 simulated pages. Untouched
 /// huge pages of a chunk cost address space only, so a small database
@@ -23,8 +24,13 @@ DramMemory::PageStore::~PageStore() {
   for (uint8_t* chunk : chunks_) munmap(chunk, kChunkBytes);
 }
 
-uint8_t* DramMemory::PageStore::NewPage() {
-  if (next_ == end_) {
+DramMemory::PageStore::Block DramMemory::PageStore::TakeBlock() {
+  if (!released_.empty()) {
+    const Block block = released_.back();
+    released_.pop_back();
+    return block;
+  }
+  if (chunk_rest_.next == chunk_rest_.end) {
     // Over-map by one huge page and trim both ends, so the chunk starts on
     // a 2 MiB boundary and every 2 MiB of it can be one huge page.
     void* raw = mmap(nullptr, kChunkBytes + kHugePageBytes,
@@ -44,12 +50,30 @@ uint8_t* DramMemory::PageStore::NewPage() {
 #endif
     HotAllocProbe::Record();
     chunks_.push_back(chunk);
-    next_ = chunk;
-    end_ = chunk + kChunkBytes;
+    chunk_rest_ = Block{chunk, chunk + kChunkBytes};
   }
-  uint8_t* page = next_;
-  next_ += kPageSize;
+  const Block block{chunk_rest_.next, chunk_rest_.next + kHugePageBytes};
+  chunk_rest_.next = block.end;
+  return block;
+}
+
+uint8_t* DramMemory::PageStore::NewPage(size_t arena) {
+  if (!per_arena_) arena = 0;
+  if (arena >= blocks_.size()) blocks_.resize(arena + 1);
+  Block& block = blocks_[arena];
+  if (block.next == block.end) block = TakeBlock();
+  uint8_t* page = block.next;
+  block.next += kPageSize;
   return page;
+}
+
+void DramMemory::PageStore::SetPerArenaBlocks(bool on) {
+  per_arena_ = on;
+  if (on) return;
+  for (Block& block : blocks_) {
+    if (block.next != block.end) released_.push_back(block);
+    block = Block{};
+  }
 }
 
 DramMemory::DramMemory(const TimingConfig& config) : config_(config) {
@@ -78,9 +102,10 @@ void DramMemory::ConfigurePartitions(uint32_t n) {
   for (Lane& l : lanes_) l.channels.resize(config_.dram_channels);
 }
 
-Addr DramMemory::Allocate(uint64_t size, uint64_t align) {
+Addr DramMemory::AllocateIn(uint32_t partition, uint64_t size,
+                            uint64_t align) {
   assert(align != 0 && (align & (align - 1)) == 0);
-  Arena& arena = CurrentArena();
+  Arena& arena = arenas_[ArenaIndex(partition)];
   arena.next_free = (arena.next_free + align - 1) & ~(align - 1);
   Addr out = arena.next_free;
   arena.next_free += size;
@@ -99,25 +124,33 @@ uint8_t* DramMemory::PageFor(Addr addr) const {
   // Miss path of PagePtr: the page is untouched, or its address lies
   // outside every table (or was first touched there).
   const uint64_t page = addr >> kPageBits;
+  const uint64_t slot = addr >> kArenaShift;
+  const uint64_t idx = (addr & kArenaMask) >> kPageBits;
+  const bool in_table =
+      slot < page_tables_.size() && idx < page_tables_[slot].size();
+  std::lock_guard<std::mutex> lock(page_mu_);
   uint8_t* ptr = nullptr;
   const auto wild = wild_pages_.find(page);
   if (wild != wild_pages_.end()) ptr = wild->second;
-  const uint64_t slot = addr >> kArenaShift;
-  const uint64_t idx = (addr & kArenaMask) >> kPageBits;
-  if (slot < page_tables_.size() && idx < page_tables_[slot].size()) {
-    // A page touched before Allocate covered it moves into the table with
-    // its storage, so its bytes (and any span into it) stay put.
+  if (in_table) {
+    // A page touched before AllocateIn covered it moves into the table
+    // with its storage, so its bytes (and any span into it) stay put.
     if (ptr != nullptr) {
       wild_pages_.erase(wild);
     } else {
-      ptr = store_.NewPage();
+      ptr = store_.NewPage(slot);
     }
     page_tables_[slot][idx] = ptr;
   } else if (ptr == nullptr) {
-    ptr = store_.NewPage();
+    ptr = store_.NewPage(0);
     wild_pages_.emplace(page, ptr);
   }
   return ptr;
+}
+
+void DramMemory::SetPerArenaPageBlocks(bool on) {
+  std::lock_guard<std::mutex> lock(page_mu_);
+  store_.SetPerArenaBlocks(on);
 }
 
 void DramMemory::WriteBytes(Addr addr, const void* src, uint64_t len) {

@@ -21,12 +21,17 @@
 // every partition worker a private slice of the address space (an "arena")
 // and a private copy of the channel array (a "lane", the per-worker memory
 // channels of Fig. 1b). A worker reaches a foreign arena only through the
-// message fabric. Which arena/lane an access uses is the memory's partition
-// context, a plain member that the simulator sets per component and
-// PartitionScope sets around bulk loading, so none of the allocation or
-// issue call sites change signature. With one partition (or when never
-// configured) the layout is bit-identical to the original single-arena,
-// single-lane model.
+// message fabric. Bulk loading names the arena it allocates from
+// (AllocateIn). Timed accesses, and the allocations of blocks the
+// simulator ticks, use the memory's partition context instead: a plain
+// member the simulator sets per component, single-threaded routing state.
+// With one partition (or when never configured) the layout is
+// bit-identical to the original single-arena, single-lane model.
+//
+// Threads: the memory is single-threaded, except that host threads may
+// allocate in, and read and write, distinct partition arenas concurrently
+// (db::Database::Populate). Page creation is the one shared step, and it
+// takes a lock.
 //
 // Host storage (DESIGN.md section 15.5) never changes a modelled result:
 // each arena has a flat page table over the span its allocator handed out,
@@ -39,8 +44,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -127,29 +134,10 @@ class DramMemory {
   void ConfigurePartitions(uint32_t n);
   bool partitioned() const { return partitioned_; }
 
-  /// RAII partition context on one memory: while in scope, `dram`'s
-  /// Allocate targets the partition's arena and its Issue/IssueWrite64
-  /// the partition's lane. The database wraps bulk loading in
-  /// one (each partition's tuples belong in that partition's arena).
-  /// Nesting restores the previous context; other memories are unaffected.
-  class PartitionScope {
-   public:
-    PartitionScope(DramMemory* dram, uint32_t partition)
-        : dram_(dram), saved_(dram->partition_) {
-      dram->partition_ = partition;
-    }
-    ~PartitionScope() { dram_->partition_ = saved_; }
-    PartitionScope(const PartitionScope&) = delete;
-    PartitionScope& operator=(const PartitionScope&) = delete;
-
-   private:
-    DramMemory* dram_;
-    uint32_t saved_;
-  };
-
-  /// Raw partition context (what PartitionScope saves and restores). The
-  /// simulator's component loop sets it per component, with one
-  /// save/restore pair around the whole loop.
+  /// Partition context: the arena Allocate and the lane Issue and
+  /// IssueWrite64 use. The simulator's component loop sets it per
+  /// component, with one save/restore pair around the whole loop; host
+  /// code outside run calls sees kHostPartition.
   uint32_t PartitionContext() const { return partition_; }
   void SetPartitionContext(uint32_t partition) { partition_ = partition; }
 
@@ -177,10 +165,31 @@ class DramMemory {
 
   // --- Functional interface -------------------------------------------
 
-  /// Allocates `size` bytes (aligned to `align`) from the current
-  /// partition context's arena bump allocator. No address is handed out
-  /// twice, and bytes nobody has written read as zero.
-  Addr Allocate(uint64_t size, uint64_t align = 8);
+  /// Allocates `size` bytes (aligned to `align`) from `partition`'s arena
+  /// bump allocator (kHostPartition, or any partition of an unpartitioned
+  /// memory: the shared arena 0). No address is handed out twice, and
+  /// bytes nobody has written read as zero. Threads may allocate in
+  /// distinct arenas concurrently.
+  Addr AllocateIn(uint32_t partition, uint64_t size, uint64_t align = 8);
+  /// AllocateIn under the current partition context: the allocations of
+  /// blocks the simulator ticks, and of host code between run calls.
+  Addr Allocate(uint64_t size, uint64_t align = 8) {
+    return AllocateIn(partition_, size, align);
+  }
+  /// The span [base, end) `arena`'s allocator has handed out so far.
+  std::pair<Addr, Addr> ArenaSpan(uint32_t arena) const {
+    return {arenas_[arena].base, arenas_[arena].next_free};
+  }
+
+  /// Page placement for a parallel load. While on, each arena takes its
+  /// new pages from a block of its own, so threads loading distinct arenas
+  /// never fault in the same huge page. Off (the default), every arena
+  /// takes pages from one shared block, in creation order, which keeps at
+  /// most one huge page partly used. Turning it off gives the unused rest
+  /// of every block back to the store, which hands such remainders out
+  /// before it carves new blocks: later pages, of any arena, first fill
+  /// huge pages that are already resident.
+  void SetPerArenaPageBlocks(bool on);
 
   /// Raw byte accessors. Accessing unallocated space is allowed (pages are
   /// materialised on demand and zero-filled), matching real DRAM.
@@ -485,10 +494,11 @@ class DramMemory {
   void DrainLane(uint32_t lane, uint64_t now);
 
   Lane& CurrentLane() { return lanes_[LaneOf(partition_)]; }
-  Arena& CurrentArena() {
-    if (!partitioned_ || partition_ == kHostPartition) return arenas_[0];
-    uint32_t idx = partition_ + 1;
-    return arenas_[idx < arenas_.size() ? idx : 0];
+  /// Index of the arena `partition` allocates from.
+  uint32_t ArenaIndex(uint32_t partition) const {
+    if (!partitioned_ || partition == kHostPartition) return 0;
+    const uint64_t idx = uint64_t(partition) + 1;
+    return idx < arenas_.size() ? uint32_t(idx) : 0;
   }
 
   uint64_t SumLanes(uint64_t Lane::* field) const {
@@ -497,12 +507,13 @@ class DramMemory {
     return total;
   }
 
-  /// Host storage for simulated pages: kPageSize blocks bump-allocated,
-  /// in creation order, from kChunkBytes anonymous mappings that are
-  /// 2 MiB-aligned and advised for transparent huge pages. The kernel
+  /// Host storage for simulated pages: kPageSize pages, handed out in
+  /// blocks of one huge page, from kChunkBytes anonymous mappings that are
+  /// 2 MiB-aligned and advised for transparent huge pages (see
+  /// SetPerArenaPageBlocks for which block a page comes from). The kernel
   /// zero-fills a mapping on first touch, so a fresh page reads as zero
   /// without a memset. Pages live until the store is destroyed, which
-  /// unmaps every chunk.
+  /// unmaps every chunk. Callers hold DramMemory::page_mu_.
   class PageStore {
    public:
     PageStore() = default;
@@ -510,14 +521,29 @@ class DramMemory {
     PageStore(const PageStore&) = delete;
     PageStore& operator=(const PageStore&) = delete;
 
-    /// A fresh zero-filled page; maps a new chunk (counted through
-    /// HotAllocProbe) when the current one is used up.
-    uint8_t* NewPage();
+    /// A fresh zero-filled page from `arena`'s block, or from the shared
+    /// block with per-arena blocks off. A used-up block is replaced by a
+    /// released remainder if any, else by the next huge page of the
+    /// current chunk; a new chunk is mapped (counted through HotAllocProbe)
+    /// when that one is used up.
+    uint8_t* NewPage(size_t arena);
+
+    /// Switches per-arena blocks on or off; off moves the unused rest of
+    /// every block to the released list.
+    void SetPerArenaBlocks(bool on);
 
    private:
+    struct Block {
+      uint8_t* next = nullptr;
+      uint8_t* end = nullptr;
+    };
+    Block TakeBlock();
+
     std::vector<uint8_t*> chunks_;
-    uint8_t* next_ = nullptr;
-    uint8_t* end_ = nullptr;
+    Block chunk_rest_;             // the newest chunk's uncarved huge pages
+    std::vector<Block> released_;  // unused block remainders, reused first
+    std::vector<Block> blocks_;    // by arena; blocks_[0] is also the shared one
+    bool per_arena_ = false;
   };
 
   /// `addr`'s page if its arena's table holds it, else nullptr (never
@@ -562,21 +588,25 @@ class DramMemory {
     }
   }
 
+  /// Table-miss path of PagePtr: creates (or moves in) `addr`'s page
+  /// under page_mu_.
   uint8_t* PageFor(Addr addr) const;
   uint32_t ChannelOf(Addr addr) const;
 
   TimingConfig config_;
-  /// Partition context (see PartitionScope); kHostPartition outside any.
+  /// Partition context (see PartitionContext).
   uint32_t partition_ = kHostPartition;
   // The page directory. Table `s` covers address slot s (addr >>
   // kArenaShift, the arena index) and is indexed by page number inside the
-  // slot; Allocate grows it over the arena's allocated span, and an entry
-  // stays null until the page is first touched. Pages first touched
-  // outside every table (wild addresses, or ahead of the allocator) live
-  // in wild_pages_, keyed by full page number; PageFor moves one into a
-  // table that has grown over it.
+  // slot; AllocateIn grows it over the arena's allocated span, and an
+  // entry stays null until the page is first touched. Only the thread
+  // using an arena reads or writes its table. Pages first touched outside
+  // every table (wild addresses, or ahead of the allocator) live in
+  // wild_pages_, keyed by full page number; PageFor moves one into a table
+  // that has grown over it.
   // Mutable: reads of untouched memory create its page.
   mutable std::vector<std::vector<uint8_t*>> page_tables_;
+  mutable std::mutex page_mu_;  // guards wild_pages_ and store_
   mutable std::unordered_map<uint64_t, uint8_t*> wild_pages_;
   mutable PageStore store_;
 

@@ -83,7 +83,8 @@ Status KvBench::Setup() {
   schema.payload_len = options_.payload_len;
   // Oversized (~4x) to keep conflict chains — and hence the Traverse
   // stage — rare, as the paper recommends (section 4.4.1).
-  schema.hash_buckets = uint32_t(options_.preload_per_partition) * 4 + 1024;
+  schema.hash_buckets =
+      db::HashBucketsFor(options_.preload_per_partition * 4 + 1024);
   BIONICDB_RETURN_IF_ERROR(engine_->database().CreateTable(schema));
 
   const uint32_t n = options_.ops_per_txn;
@@ -97,13 +98,14 @@ Status KvBench::Setup() {
 
   std::vector<uint8_t> payload(options_.payload_len, 0xab);
   const uint64_t r = options_.preload_per_partition;
-  for (uint32_t p = 0; p < engine_->database().n_partitions(); ++p) {
+  db::Database& database = engine_->database();
+  return database.Populate([&](db::PartitionId p) {
     for (uint64_t k = 0; k < r; ++k) {
-      BIONICDB_RETURN_IF_ERROR(engine_->database().LoadU64(
+      BIONICDB_RETURN_IF_ERROR(database.LoadU64(
           kTable, p, p * r + k, payload.data(), uint32_t(payload.size())));
     }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 sim::Addr KvBench::MakeSearchTxn(Rng* rng, db::WorkerId worker) {

@@ -117,7 +117,8 @@ Status SmallBank::Setup() {
     schema.key_len = 8;
     schema.payload_len = 8;
     schema.index = db::IndexKind::kHash;
-    schema.hash_buckets = options_.accounts_per_partition * 4;
+    schema.hash_buckets =
+        db::HashBucketsFor(uint64_t(options_.accounts_per_partition) * 4);
     BIONICDB_RETURN_IF_ERROR(engine_->database().CreateTable(schema));
   }
 
@@ -135,16 +136,17 @@ Status SmallBank::Setup() {
   // Bulk load: partition p owns accounts [p*N, (p+1)*N) in both tables.
   const uint64_t n = options_.accounts_per_partition;
   const uint64_t balance = options_.initial_balance;
-  const uint32_t parts = engine_->database().n_partitions();
-  for (uint32_t p = 0; p < parts; ++p) {
+  db::Database& database = engine_->database();
+  BIONICDB_RETURN_IF_ERROR(database.Populate([&](db::PartitionId p) {
     for (uint64_t a = 0; a < n; ++a) {
       for (db::TableId table : {kSavings, kChecking}) {
         BIONICDB_RETURN_IF_ERROR(
-            engine_->database().LoadU64(table, p, p * n + a, &balance, 8));
+            database.LoadU64(table, p, p * n + a, &balance, 8));
       }
     }
-  }
-  initial_total_ = uint64_t(parts) * n * balance * 2;
+    return Status::Ok();
+  }));
+  initial_total_ = uint64_t(database.n_partitions()) * n * balance * 2;
   return Status::Ok();
 }
 

@@ -430,8 +430,9 @@ Status Tpcc::Setup() {
       database.CreateTable(make(kWarehouse, "warehouse", kWarehousePayload, 16)));
   BIONICDB_RETURN_IF_ERROR(
       database.CreateTable(make(kDistrict, "district", kDistrictPayload, 64)));
-  BIONICDB_RETURN_IF_ERROR(database.CreateTable(
-      make(kCustomer, "customer", kCustomerPayload, d * c)));
+  BIONICDB_RETURN_IF_ERROR(database.CreateTable(make(
+      kCustomer, "customer", kCustomerPayload,
+      db::HashBucketsFor(uint64_t(d) * c))));
   BIONICDB_RETURN_IF_ERROR(
       database.CreateTable(make(kHistory, "history", kHistoryPayload, 1 << 16)));
   BIONICDB_RETURN_IF_ERROR(database.CreateTable(
@@ -457,12 +458,13 @@ Status Tpcc::Setup() {
       kStockLevelTxn, BuildStockLevelProgram(), 64));
 
   // --- Population: one warehouse per partition -------------------------
-  std::vector<uint8_t> buf(256, 0);
-  auto put64 = [&buf](int64_t off, uint64_t v) {
-    std::memcpy(buf.data() + off, &v, 8);
-  };
-  const uint32_t n_parts = database.n_partitions();
-  for (uint32_t w = 0; w < n_parts; ++w) {
+  // Each partition loads its own tables, then its copy of the replicated
+  // Item table.
+  return database.Populate([&](db::PartitionId w) {
+    std::vector<uint8_t> buf(256, 0);
+    auto put64 = [&buf](int64_t off, uint64_t v) {
+      std::memcpy(buf.data() + off, &v, 8);
+    };
     std::fill(buf.begin(), buf.end(), 0);
     put64(kWarehouseYtd, 0);
     BIONICDB_RETURN_IF_ERROR(database.LoadU64Le(
@@ -486,15 +488,16 @@ Status Tpcc::Setup() {
       BIONICDB_RETURN_IF_ERROR(database.LoadU64Le(
           kStock, w, StockKey(w, ii), buf.data(), kStockPayload));
     }
-  }
-  // Item is replicated: Load() fans it out to every partition.
-  for (uint32_t ii = 0; ii < i; ++ii) {
-    std::fill(buf.begin(), buf.end(), 0);
-    put64(0, ItemPrice(ii));
-    BIONICDB_RETURN_IF_ERROR(
-        database.LoadU64Le(kItem, 0, ItemKey(ii), buf.data(), kItemPayload));
-  }
-  return Status::Ok();
+    for (uint32_t ii = 0; ii < i; ++ii) {
+      std::fill(buf.begin(), buf.end(), 0);
+      put64(0, ItemPrice(ii));
+      const uint64_t key = ItemKey(ii);  // native byte order, as LoadU64Le
+      BIONICDB_RETURN_IF_ERROR(database.LoadOne(
+          kItem, w, reinterpret_cast<const uint8_t*>(&key), 8, buf.data(),
+          kItemPayload));
+    }
+    return Status::Ok();
+  });
 }
 
 sim::Addr Tpcc::MakeNewOrder(Rng* rng, db::WorkerId home) {

@@ -170,7 +170,8 @@ Status Ycsb::Setup() {
                      : db::IndexKind::kHash;
   // Oversize the table (~4x records): the paper notes a "sufficiently
   // large hash table could minimize the activation of Traverse stage".
-  schema.hash_buckets = options_.records_per_partition * 4;
+  schema.hash_buckets =
+      db::HashBucketsFor(uint64_t(options_.records_per_partition) * 4);
   BIONICDB_RETURN_IF_ERROR(engine_->database().CreateTable(schema));
 
   isa::Program program;
@@ -209,13 +210,14 @@ Status Ycsb::Setup() {
   std::vector<uint8_t> payload(options_.payload_len);
   for (size_t i = 0; i < payload.size(); ++i) payload[i] = uint8_t(i * 131);
   const uint64_t r = options_.records_per_partition;
-  for (uint32_t p = 0; p < engine_->database().n_partitions(); ++p) {
+  db::Database& database = engine_->database();
+  return database.Populate([&](db::PartitionId p) {
     for (uint64_t k = 0; k < r; ++k) {
-      BIONICDB_RETURN_IF_ERROR(engine_->database().LoadU64(
+      BIONICDB_RETURN_IF_ERROR(database.LoadU64(
           kTable, p, p * r + k, payload.data(), uint32_t(payload.size())));
     }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 uint64_t Ycsb::RandomKey(Rng* rng, db::PartitionId partition) {

@@ -15,7 +15,8 @@ class VisibilityTest : public ::testing::Test {
   db::TupleAccessor MakeTuple(db::Timestamp wts, db::Timestamp rts,
                               uint8_t flags) {
     uint8_t key[8] = {1};
-    sim::Addr a = db::AllocateTuple(&dram_, 0, key, 8, nullptr, 0, wts, flags);
+    sim::Addr a = db::AllocateTuple(&dram_, sim::DramMemory::kHostPartition, 0,
+                                    key, 8, nullptr, 0, wts, flags);
     db::TupleAccessor t(&dram_, a);
     t.set_read_ts(rts);
     return t;

@@ -3,8 +3,11 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "common/ring_queue.h"
 #include "common/json.h"
@@ -317,6 +320,25 @@ TEST(TablePrinter, AlignsColumns) {
   EXPECT_NE(out.find("long-name"), std::string::npos);
   EXPECT_NE(out.find("2.50"), std::string::npos);
   EXPECT_EQ(TablePrinter::Num(3.14159, 2), "3.14");
+}
+
+TEST(ParallelFor, NestedLoopsRunSeriallyOnTheJobsThread) {
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 16;
+  std::vector<int> runs(kOuter * kInner, 0);
+  std::vector<int> on_job_thread(kOuter * kInner, 0);
+  ParallelFor(kOuter, 0, [&](size_t i) {
+    const std::thread::id job_thread = std::this_thread::get_id();
+    ParallelFor(kInner, 0, [&](size_t j) {
+      ++runs[i * kInner + j];
+      on_job_thread[i * kInner + j] =
+          std::this_thread::get_id() == job_thread;
+    });
+  });
+  for (size_t k = 0; k < runs.size(); ++k) {
+    EXPECT_EQ(runs[k], 1) << k;
+    EXPECT_EQ(on_job_thread[k], 1) << k;
+  }
 }
 
 }  // namespace

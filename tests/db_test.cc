@@ -16,14 +16,17 @@ namespace {
 
 sim::TimingConfig Cfg() { return sim::TimingConfig(); }
 
+/// An unpartitioned memory's single arena.
+constexpr uint32_t kHost = sim::DramMemory::kHostPartition;
+
 TEST(Tuple, LayoutRoundTrip) {
   sim::DramMemory dram(Cfg());
   uint8_t key[8];
   EncodeKeyU64(42, key);
   uint8_t payload[16];
   for (int i = 0; i < 16; ++i) payload[i] = uint8_t(i);
-  sim::Addr addr = AllocateTuple(&dram, /*height=*/0, key, 8, payload, 16,
-                                 /*write_ts=*/7, kFlagDirty);
+  sim::Addr addr = AllocateTuple(&dram, kHost, /*height=*/0, key, 8, payload,
+                                 16, /*write_ts=*/7, kFlagDirty);
   TupleAccessor t(&dram, addr);
   EXPECT_EQ(t.write_ts(), 7u);
   EXPECT_EQ(t.read_ts(), 0u);
@@ -44,7 +47,8 @@ TEST(Tuple, TowerLinksIndependent) {
   sim::DramMemory dram(Cfg());
   uint8_t key[8];
   EncodeKeyU64(1, key);
-  sim::Addr addr = AllocateTuple(&dram, /*height=*/4, key, 8, nullptr, 0, 1, 0);
+  sim::Addr addr =
+      AllocateTuple(&dram, kHost, /*height=*/4, key, 8, nullptr, 0, 1, 0);
   TupleAccessor t(&dram, addr);
   EXPECT_EQ(t.num_links(), 4u);
   t.set_next(2, 0xabc0);
@@ -64,7 +68,7 @@ TEST(Tuple, BigEndianKeyOrderMatchesNumeric) {
 
 TEST(HashLayout, InsertFindChain) {
   sim::DramMemory dram(Cfg());
-  HashTableLayout table(&dram, 16);  // tiny: force collisions
+  HashTableLayout table(&dram, kHost, 16);  // tiny: force collisions
   Rng rng(1);
   std::map<uint64_t, uint64_t> model;
   for (int i = 0; i < 200; ++i) {
@@ -92,7 +96,7 @@ TEST(HashLayout, InsertFindChain) {
 
 TEST(HashLayout, NewestDuplicateShadowsOlder) {
   sim::DramMemory dram(Cfg());
-  HashTableLayout table(&dram, 16);
+  HashTableLayout table(&dram, kHost, 16);
   uint8_t kb[8];
   EncodeKeyU64(5, kb);
   uint64_t v1 = 100, v2 = 200;
@@ -109,13 +113,13 @@ TEST(HashLayout, FreshTableReadsEveryBucketAsNull) {
   // reusing an address and on unwritten memory reading zero, even after
   // another table has filled the memory allocated before it.
   sim::DramMemory dram(Cfg());
-  HashTableLayout older(&dram, 64);
+  HashTableLayout older(&dram, kHost, 64);
   for (uint64_t k = 0; k < 200; ++k) {
     uint8_t kb[8];
     EncodeKeyU64(k, kb);
     older.Insert(kb, 8, nullptr, 0, 1);
   }
-  HashTableLayout fresh(&dram, 1 << 12);
+  HashTableLayout fresh(&dram, kHost, 1 << 12);
   int visited = 0;
   fresh.ForEach([&](TupleAccessor) {
     ++visited;
@@ -131,7 +135,7 @@ TEST(HashLayout, FreshTableReadsEveryBucketAsNull) {
 
 TEST(HashLayout, ForEachVisitsAll) {
   sim::DramMemory dram(Cfg());
-  HashTableLayout table(&dram, 8);
+  HashTableLayout table(&dram, kHost, 8);
   for (uint64_t k = 0; k < 50; ++k) {
     uint8_t kb[8];
     EncodeKeyU64(k, kb);
@@ -147,7 +151,7 @@ TEST(HashLayout, ForEachVisitsAll) {
 
 TEST(SkiplistLayout, SortedInsertAndFind) {
   sim::DramMemory dram(Cfg());
-  SkiplistLayout list(&dram, 99);
+  SkiplistLayout list(&dram, kHost, 99);
   Rng rng(2);
   std::set<uint64_t> keys;
   for (int i = 0; i < 500; ++i) keys.insert(rng.NextUint64(100000));
@@ -169,7 +173,7 @@ TEST(SkiplistLayout, SortedInsertAndFind) {
 
 TEST(SkiplistLayout, ScanReturnsSortedRange) {
   sim::DramMemory dram(Cfg());
-  SkiplistLayout list(&dram, 7);
+  SkiplistLayout list(&dram, kHost, 7);
   for (uint64_t k = 0; k < 100; ++k) {
     uint8_t kb[8];
     EncodeKeyU64(k * 2, kb);  // even keys
@@ -187,7 +191,7 @@ TEST(SkiplistLayout, ScanReturnsSortedRange) {
 
 TEST(SkiplistLayout, LowerBoundSemantics) {
   sim::DramMemory dram(Cfg());
-  SkiplistLayout list(&dram, 3);
+  SkiplistLayout list(&dram, kHost, 3);
   for (uint64_t k : {10ull, 20ull, 30ull}) {
     uint8_t kb[8];
     EncodeKeyU64(k, kb);
@@ -204,7 +208,7 @@ TEST(SkiplistLayout, LowerBoundSemantics) {
 
 TEST(SkiplistLayout, DeterministicHeightsFromSeed) {
   sim::DramMemory d1(Cfg()), d2(Cfg());
-  SkiplistLayout a(&d1, 42), b(&d2, 42);
+  SkiplistLayout a(&d1, kHost, 42), b(&d2, kHost, 42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextHeight(), b.NextHeight());
 }
 
@@ -258,6 +262,84 @@ TEST(Database, ReplicatedTableLoadsEverywhere) {
   ASSERT_TRUE(database.LoadU64(0, 0, 55, &payload, 8).ok());
   for (uint32_t p = 0; p < 3; ++p) {
     EXPECT_NE(database.FindU64(0, p, 55), sim::kNullAddr) << p;
+  }
+}
+
+TEST(Database, CreateTableRejectsMoreThan2To31Buckets) {
+  // Past 2^31 the layout's power-of-two rounding wraps to 0 and never
+  // ends; CreateTable refuses such a schema before building any layout.
+  sim::DramMemory dram(Cfg());
+  Database database(&dram, 2);
+  for (uint32_t buckets : {kMaxHashBuckets + 1, uint32_t(UINT32_MAX)}) {
+    TableSchema t;
+    t.id = 0;
+    t.hash_buckets = buckets;
+    EXPECT_EQ(database.CreateTable(t).code(), StatusCode::kInvalidArgument)
+        << buckets;
+    EXPECT_EQ(database.catalogue().FindTable(0), nullptr);
+  }
+  EXPECT_EQ(dram.allocated_bytes(), 0u);
+  TableSchema largest;
+  largest.id = 0;
+  largest.hash_buckets = kMaxHashBuckets;
+  ASSERT_TRUE(database.CreateTable(largest).ok());
+  EXPECT_EQ(database.hash_index(0, 1)->n_buckets(), kMaxHashBuckets);
+  // Workloads size tables in 64 bits; a count past uint32_t saturates, so
+  // CreateTable rejects it instead of building a wrapped, tiny table.
+  EXPECT_EQ(HashBucketsFor(uint64_t(1) << 32), UINT32_MAX);
+  EXPECT_EQ(HashBucketsFor(1000), 1000u);
+}
+
+TEST(Database, PopulateLoadersWriteOnlyTheirOwnPartition) {
+  constexpr uint32_t kParts = 4;
+  sim::DramMemory dram(Cfg());
+  dram.ConfigurePartitions(kParts);
+  Database database(&dram, kParts);
+  TableSchema rows;
+  rows.id = 0;
+  TableSchema item;
+  item.id = 1;
+  item.replicated = true;
+  ASSERT_TRUE(database.CreateTable(rows).ok());
+  ASSERT_TRUE(database.CreateTable(item).ok());
+  const uint64_t payload = 7;
+  const auto* payload_bytes = reinterpret_cast<const uint8_t*>(&payload);
+  uint8_t item_key[8];
+  EncodeKeyU64(55, item_key);
+  ASSERT_TRUE(database
+                  .Populate([&](PartitionId p) {
+                    BIONICDB_RETURN_IF_ERROR(
+                        database.LoadU64(0, p, 100 + p, &payload, 8));
+                    return database.LoadOne(1, p, item_key, 8, payload_bytes,
+                                            8);
+                  })
+                  .ok());
+  for (uint32_t p = 0; p < kParts; ++p) {
+    EXPECT_NE(database.FindU64(0, p, 100 + p), sim::kNullAddr) << p;
+    EXPECT_EQ(database.FindU64(0, p, 100 + (p + 1) % kParts), sim::kNullAddr);
+    EXPECT_NE(database.FindU64(1, p, 55), sim::kNullAddr) << p;
+  }
+
+  // A load that would write another partition's arena fails instead of
+  // racing with that partition's loader, and so does a nested Populate.
+  const uint64_t loaded = dram.allocated_bytes();
+  const Status fan_out = database.Populate([&](PartitionId p) {
+    return database.LoadU64(1, p, 56, &payload, 8);
+  });
+  EXPECT_EQ(fan_out.code(), StatusCode::kFailedPrecondition);
+  const Status foreign = database.Populate([&](PartitionId p) {
+    return database.LoadU64(0, (p + 1) % kParts, 200, &payload, 8);
+  });
+  EXPECT_EQ(foreign.code(), StatusCode::kFailedPrecondition);
+  const Status nested = database.Populate([&](PartitionId) {
+    return database.Populate([](PartitionId) { return Status::Ok(); });
+  });
+  EXPECT_EQ(nested.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dram.allocated_bytes(), loaded);
+  // Outside a loader the replicated fan-out works as before.
+  ASSERT_TRUE(database.LoadU64(1, 0, 57, &payload, 8).ok());
+  for (uint32_t p = 0; p < kParts; ++p) {
+    EXPECT_NE(database.FindU64(1, p, 57), sim::kNullAddr) << p;
   }
 }
 

@@ -1,6 +1,12 @@
 // Host driver tests: retry semantics, failure accounting, determinism.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "host/driver.h"
 #include "isa/program.h"
 #include "common/random.h"
@@ -144,6 +150,55 @@ TEST(ClosedLoop, RetriesAbortsInPlace) {
       opts);
   EXPECT_EQ(result.committed, 0u);
   EXPECT_GT(result.retries, 0u);
+}
+
+TEST(Sweep, ResultsComeBackInJobOrder) {
+  // Each job builds and loads its own engine (whose Populate runs serially
+  // inside the sweep's loop) and records what it read back.
+  std::vector<SweepJob> jobs;
+  for (uint32_t i = 0; i < 9; ++i) {
+    jobs.push_back({"point" + std::to_string(i), [i](StatsRegistry* reg) {
+                      Fixture f(2);
+                      reg->SetCounter("index", i);
+                      reg->SetCounter(
+                          "allocated",
+                          f.engine->simulator().dram().allocated_bytes());
+                    }});
+  }
+  const std::vector<SweepResult> results = RunSweep(jobs, /*max_hosts=*/4);
+  ASSERT_EQ(results.size(), jobs.size());
+  for (uint32_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].label, "point" + std::to_string(i));
+    EXPECT_EQ(results[i].stats.counters().at("index"), i);
+    EXPECT_EQ(results[i].stats.counters().at("allocated"),
+              results[0].stats.counters().at("allocated"));
+  }
+}
+
+TEST(Sweep, RethrowsTheLowestIndexJobsException) {
+  // Job 6 throws at once, job 3 only after a pause: the sweep must still
+  // join every thread and hand the caller job 3's exception, the one a
+  // serial loop would have thrown.
+  std::vector<SweepJob> jobs;
+  for (uint32_t i = 0; i < 8; ++i) {
+    jobs.push_back({"point" + std::to_string(i), [i](StatsRegistry*) {
+                      if (i == 3) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(50));
+                        throw std::runtime_error("job 3");
+                      }
+                      if (i == 6) throw std::runtime_error("job 6");
+                    }});
+  }
+  for (uint32_t hosts : {1u, 4u}) {
+    SCOPED_TRACE(hosts);
+    try {
+      RunSweep(jobs, hosts);
+      ADD_FAILURE() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "job 3");
+    }
+  }
 }
 
 }  // namespace

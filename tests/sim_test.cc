@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "sim/component.h"
 #include "sim/memory.h"
@@ -118,16 +122,8 @@ TEST(DramPageStore, PageTouchedAheadOfTheAllocatorKeepsItsBytes) {
 TEST(DramPageStore, PartitionArenasKeepSeparatePages) {
   DramMemory dram(Config());
   dram.ConfigurePartitions(2);
-  Addr in_p0 = kNullAddr;
-  Addr in_p1 = kNullAddr;
-  {
-    DramMemory::PartitionScope scope(&dram, 0);
-    in_p0 = dram.Allocate(3 * kPage);
-  }
-  {
-    DramMemory::PartitionScope scope(&dram, 1);
-    in_p1 = dram.Allocate(3 * kPage);
-  }
+  const Addr in_p0 = dram.AllocateIn(0, 3 * kPage);
+  const Addr in_p1 = dram.AllocateIn(1, 3 * kPage);
   const Addr offset_mask = (1ull << 40) - 1;
   ASSERT_NE(in_p0, in_p1);
   ASSERT_EQ(in_p0 & offset_mask, in_p1 & offset_mask);
@@ -146,7 +142,57 @@ TEST(DramPageStore, PartitionArenasKeepSeparatePages) {
   EXPECT_EQ(dram.Read64(in_p0), 1u);
 }
 
-TEST(DramPageStore, PartitionScopeRoutesOnlyItsOwnMemory) {
+// Loader threads (db::Database::Populate) fill distinct arenas at once;
+// each arena must read back exactly as after a serial fill.
+TEST(DramPageStore, ThreadsFillingDistinctArenasMatchASerialFill) {
+  constexpr uint32_t kParts = 4;
+  // Allocations of varied sizes and alignments, each written with bytes
+  // that depend on the partition: ~6 MB per arena, so every arena creates
+  // ~100 pages over several page blocks while the others do the same.
+  auto fill = [](DramMemory* dram, uint32_t p) {
+    std::vector<uint8_t> bytes;
+    for (uint32_t i = 0; i < 600; ++i) {
+      const uint64_t size = 8 + (i * 7919 + p * 104729) % 20000;
+      const Addr a = dram->AllocateIn(p, size, i % 3 == 0 ? 64 : 8);
+      bytes.resize(size);
+      for (uint64_t j = 0; j < size; ++j) bytes[j] = uint8_t(p * 31 + i + j);
+      dram->WriteBytes(a, bytes.data(), size);
+    }
+  };
+  DramMemory serial(Config());
+  serial.ConfigurePartitions(kParts);
+  for (uint32_t p = 0; p < kParts; ++p) fill(&serial, p);
+  // Per-arena page blocks (as db::Database::Populate sets them), and one
+  // shared block.
+  for (const bool per_arena : {true, false}) {
+    SCOPED_TRACE(per_arena);
+    DramMemory threaded(Config());
+    threaded.ConfigurePartitions(kParts);
+    threaded.SetPerArenaPageBlocks(per_arena);
+    std::vector<std::thread> loaders;
+    for (uint32_t p = 0; p < kParts; ++p) {
+      loaders.emplace_back(fill, &threaded, p);
+    }
+    for (std::thread& t : loaders) t.join();
+    threaded.SetPerArenaPageBlocks(false);
+
+    for (uint32_t arena = 0; arena <= kParts; ++arena) {
+      SCOPED_TRACE(arena);
+      const auto [begin, end] = serial.ArenaSpan(arena);
+      ASSERT_EQ(threaded.ArenaSpan(arena), serial.ArenaSpan(arena));
+      std::vector<uint8_t> want(kPage), got(kPage);
+      for (Addr a = begin; a < end; a += kPage) {
+        const uint64_t len = std::min<uint64_t>(kPage, end - a);
+        serial.ReadBytes(a, want.data(), len);
+        threaded.ReadBytes(a, got.data(), len);
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(), len))
+            << "at " << a;
+      }
+    }
+  }
+}
+
+TEST(DramPageStore, PartitionContextRoutesOnlyItsOwnMemory) {
   TimingConfig cfg = Config();
   cfg.dram_channels = 1;
   cfg.dram_channel_queue_depth = 1;
@@ -156,7 +202,7 @@ TEST(DramPageStore, PartitionScopeRoutesOnlyItsOwnMemory) {
   b.ConfigurePartitions(2);
   MemResponseQueue sink;
   ASSERT_TRUE(b.Issue(0, 0x1000, false, &sink, 0));  // fills b's host lane
-  DramMemory::PartitionScope scope(&a, 1);
+  a.SetPartitionContext(1);
   // b stays in its host context: host arena, and the full host lane.
   EXPECT_LT(b.Allocate(8), 1ull << 40);
   EXPECT_FALSE(b.Issue(0, 0x1008, false, &sink, 1));

@@ -2,10 +2,18 @@
 // with functional-state oracles (conservation laws, counter advancement).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+#include <thread>
+#include <vector>
+
+#include "common/parallel.h"
 #include "common/random.h"
 #include "db/tuple.h"
 #include "host/driver.h"
 #include "workload/kv.h"
+#include "workload/smallbank.h"
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
@@ -481,6 +489,134 @@ TEST_F(TpccIntegration, PaymentConservesMoney) {
     }
   }
   EXPECT_EQ(WarehouseYtd(0) + WarehouseYtd(1), total_amount);
+}
+
+// --- Population on host threads (db::Database::Populate) ------------------
+
+/// Sets up workload `W` twice on fresh 4-worker engines: as is, where each
+/// partition loads on its own host thread, and inside a ParallelFor job,
+/// where Populate runs the same per-partition loaders serially on one
+/// thread. Every arena must come out byte-identical.
+template <typename W, typename Options>
+void ExpectArenasMatchASerialLoad(const Options& options) {
+  core::BionicDb threaded(SmallEngine(4));
+  core::BionicDb serial(SmallEngine(4));
+  W threaded_load(&threaded, options);
+  W serial_load(&serial, options);
+  ASSERT_TRUE(threaded_load.Setup().ok());
+  Status serial_status;
+  ParallelFor(2, 2, [&](size_t i) {
+    if (i == 0) serial_status = serial_load.Setup();
+  });
+  ASSERT_TRUE(serial_status.ok()) << serial_status.ToString();
+
+  sim::DramMemory& a = threaded.simulator().dram();
+  sim::DramMemory& b = serial.simulator().dram();
+  ASSERT_EQ(a.n_arenas(), 5u);
+  ASSERT_GT(a.allocated_bytes(), 0u);
+  std::vector<uint8_t> want(1 << 16), got(1 << 16);
+  for (uint32_t arena = 0; arena < a.n_arenas(); ++arena) {
+    SCOPED_TRACE(arena);
+    const auto [begin, end] = b.ArenaSpan(arena);
+    ASSERT_EQ(a.ArenaSpan(arena), b.ArenaSpan(arena));
+    for (sim::Addr at = begin; at < end; at += want.size()) {
+      const uint64_t len = std::min<uint64_t>(want.size(), end - at);
+      b.ReadBytes(at, want.data(), len);
+      a.ReadBytes(at, got.data(), len);
+      ASSERT_EQ(0, std::memcmp(want.data(), got.data(), len)) << "at " << at;
+    }
+  }
+}
+
+TEST(Population, YcsbHashArenasMatchASerialLoad) {
+  ExpectArenasMatchASerialLoad<workload::Ycsb>(
+      SmallYcsb(workload::YcsbOptions::Mode::kReadOnly));
+}
+
+TEST(Population, YcsbSkiplistArenasMatchASerialLoad) {
+  ExpectArenasMatchASerialLoad<workload::Ycsb>(
+      SmallYcsb(workload::YcsbOptions::Mode::kScanOnly));
+}
+
+TEST(Population, TpccArenasMatchASerialLoad) {
+  ExpectArenasMatchASerialLoad<workload::Tpcc>(workload::TpccTestOptions());
+}
+
+TEST(Population, SmallBankArenasMatchASerialLoad) {
+  workload::SmallBankOptions opts;
+  opts.accounts_per_partition = 2000;
+  ExpectArenasMatchASerialLoad<workload::SmallBank>(opts);
+}
+
+TEST(Population, KvArenasMatchASerialLoad) {
+  workload::KvOptions opts;
+  opts.preload_per_partition = 2000;
+  ExpectArenasMatchASerialLoad<workload::KvBench>(opts);
+}
+
+/// Records every tuple registration and the threads that made them. Not
+/// thread-safe, like the fault scheduler's registration.
+class RecordingHook : public sim::DramFaultHook {
+ public:
+  uint64_t ExtraLatency(uint64_t, uint32_t) override { return 0; }
+  bool ChannelStuck(uint64_t, uint32_t) override { return false; }
+  void OnTupleAllocated(sim::Addr addr) override {
+    tuples.push_back(addr);
+    threads.insert(std::this_thread::get_id());
+  }
+  bool VerifyTuple(sim::Addr) override { return true; }
+
+  std::vector<sim::Addr> tuples;
+  std::set<std::thread::id> threads;
+};
+
+TEST(Population, FaultHookMakesItSerialWithTheSameTupleGuards) {
+  const workload::YcsbOptions opts =
+      SmallYcsb(workload::YcsbOptions::Mode::kReadOnly);
+  core::BionicDb hooked(SmallEngine(4));
+  RecordingHook hook;
+  hooked.simulator().dram().set_fault_hook(&hook);
+  workload::Ycsb hooked_load(&hooked, opts);
+  ASSERT_TRUE(hooked_load.Setup().ok());
+  // Serial: every registration on this thread, partition by partition.
+  EXPECT_EQ(hook.threads,
+            std::set<std::thread::id>{std::this_thread::get_id()});
+  ASSERT_EQ(hook.tuples.size(), 4u * opts.records_per_partition);
+  EXPECT_TRUE(std::is_sorted(hook.tuples.begin(), hook.tuples.end()));
+
+  // The same tuples a hook-free load, whose partitions load on host
+  // threads, puts in the indexes.
+  core::BionicDb plain(SmallEngine(4));
+  workload::Ycsb plain_load(&plain, opts);
+  ASSERT_TRUE(plain_load.Setup().ok());
+  std::vector<sim::Addr> tuples;
+  for (uint32_t p = 0; p < 4; ++p) {
+    plain.database().hash_index(workload::Ycsb::kTable, p)->ForEach(
+        [&](db::TupleAccessor t) {
+          tuples.push_back(t.addr());
+          return true;
+        });
+  }
+  std::sort(tuples.begin(), tuples.end());
+  EXPECT_EQ(hook.tuples, tuples);
+}
+
+TEST(Population, RecordCountsPastUint32BucketsAreRejected) {
+  // 2^30 rows x 4 buckets overflows uint32_t: Setup must fail in
+  // CreateTable, before loading a row into a wrapped, one-bucket table.
+  // (YCSB sizes its table the same way; its constructor's Zipfian over
+  // 2^30 keys alone takes seconds.)
+  constexpr uint32_t kRows = 1u << 30;
+  core::BionicDb bank_engine(SmallEngine(1));
+  workload::SmallBankOptions b;
+  b.accounts_per_partition = kRows;
+  EXPECT_EQ(workload::SmallBank(&bank_engine, b).Setup().code(),
+            StatusCode::kInvalidArgument);
+  core::BionicDb kv_engine(SmallEngine(1));
+  workload::KvOptions k;
+  k.preload_per_partition = kRows;
+  EXPECT_EQ(workload::KvBench(&kv_engine, k).Setup().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
