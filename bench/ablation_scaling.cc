@@ -17,12 +17,12 @@ bench::BenchReport* g_report = nullptr;
 
 double Run(const bench::BenchArgs& args, uint32_t workers,
            comm::Topology topology, double remote_fraction,
-           uint32_t workers_per_node = 0) {
+           uint32_t workers_per_chip = 0) {
   core::EngineOptions opts;
   args.ApplyMode(&opts);
   opts.n_workers = workers;
   opts.topology = topology;
-  opts.cluster.workers_per_node = workers_per_node;
+  opts.workers_per_chip = workers_per_chip;
   core::BionicDb engine(opts);
   workload::YcsbOptions yopts;
   yopts.mode = workload::YcsbOptions::Mode::kMultisite;
@@ -44,8 +44,7 @@ double Run(const bench::BenchArgs& args, uint32_t workers,
   std::snprintf(label, sizeof label, "workers=%u/%s/remote=%.2f/nodes=%u",
                 workers,
                 topology == comm::Topology::kCrossbar ? "crossbar" : "ring",
-                remote_fraction,
-                workers_per_node > 0 ? workers / workers_per_node : 1);
+                remote_fraction, engine.n_chips());
   g_report->AddEngineRun(label, &engine, r);
   return r.tps;
 }

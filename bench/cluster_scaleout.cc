@@ -1,7 +1,7 @@
 // Cluster scale-out: throughput vs multisite fraction at 1/4/16 chips.
 //
-// Instantiates a sharded cluster (DESIGN.md section 14) of N chips, each
-// with `kWorkersPerChip` partition workers, and drives the multisite
+// Builds an engine of N chips (DESIGN.md section 14), each with
+// `kWorkersPerChip` partition workers, and drives the multisite
 // update workload closed-loop while sweeping the fraction of transactions
 // that write a foreign chip (and therefore commit through the two-phase
 // distributed protocol over the inter-chip fabric tier).
@@ -25,7 +25,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/report.h"
-#include "cluster/cluster.h"
 #include "common/random.h"
 #include "common/table_printer.h"
 #include "host/driver.h"
@@ -48,12 +47,12 @@ struct Point {
 
 Point RunOne(const BenchArgs& args, BenchReport* report, uint32_t n_chips,
              double fraction) {
-  cluster::ClusterOptions copts;
-  copts.n_chips = n_chips;
-  copts.workers_per_chip = kWorkersPerChip;
-  copts.engine.seed = args.seed;
-  args.ApplyMode(&copts.engine);
-  cluster::ClusterDb cluster(copts);
+  core::EngineOptions opts;
+  opts.n_workers = n_chips * kWorkersPerChip;
+  opts.workers_per_chip = kWorkersPerChip;
+  opts.seed = args.seed;
+  args.ApplyMode(&opts);
+  core::BionicDb engine(opts);
 
   workload::YcsbOptions wopts;
   wopts.mode = workload::YcsbOptions::Mode::kMultisiteUpdate;
@@ -62,8 +61,7 @@ Point RunOne(const BenchArgs& args, BenchReport* report, uint32_t n_chips,
   wopts.accesses_per_txn = 4;
   wopts.updates_per_txn = 2;
   wopts.multisite_fraction = fraction;
-  wopts.workers_per_chip = n_chips > 1 ? kWorkersPerChip : 0;
-  workload::Ycsb ycsb(&cluster.engine(), wopts);
+  workload::Ycsb ycsb(&engine, wopts);
   Status st = ycsb.Setup();
   if (!st.ok()) {
     std::fprintf(stderr, "cluster_scaleout: setup failed: %s\n",
@@ -79,13 +77,12 @@ Point RunOne(const BenchArgs& args, BenchReport* report, uint32_t n_chips,
   host::ClosedLoopOptions lopts;
   lopts.inflight_per_worker = 4;
   lopts.txns_per_worker = args.quick ? 40 : 250;
-  host::ClusterRunResult result = host::RunClusterClosedLoop(
-      &cluster.engine(), n_chips > 1 ? kWorkersPerChip : 0,
-      ycsb.Factory(&rng), lopts);
+  host::ClosedLoopResult result =
+      host::RunClosedLoop(&engine, ycsb.Factory(&rng), lopts);
 
   char label[64];
   std::snprintf(label, sizeof label, "chips%u_f%.2f", n_chips, fraction);
-  report->AddClusterRun(label, &cluster, result, fraction);
+  report->AddClusterRun(label, &engine, result, fraction);
 
   Point p;
   p.n_chips = n_chips;

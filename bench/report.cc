@@ -71,30 +71,29 @@ StatsRegistry& BenchReport::AddEngineRun(const std::string& label,
 }
 
 StatsRegistry& BenchReport::AddClusterRun(const std::string& label,
-                                          cluster::ClusterDb* cluster,
-                                          const host::ClusterRunResult& result,
+                                          core::BionicDb* engine,
+                                          const host::ClosedLoopResult& result,
                                           double multisite_fraction) {
-  StatsRegistry& reg = AddRun(label);
-  cluster->CollectStats(&reg);
-  // Cluster totals, exactly once. The result's top-level counters are
-  // already the per-chip sums (and its latency summary the weighted merge
-  // of the per-chip digests), so this must NOT add the chip rows on top —
-  // doing so would double-count every transaction.
-  reg.SetCounter("run/submitted", result.submitted);
-  reg.SetCounter("run/committed", result.committed);
-  reg.SetCounter("run/failed", result.failed);
-  reg.SetCounter("run/retries", result.retries);
-  reg.SetCounter("run/cycles", result.cycles);
-  reg.SetGauge("run/tps", result.tps);
-  reg.SetGauge("run/wall_seconds", result.wall_seconds);
-  reg.SetGauge("run/sim_cycles_per_second", result.SimCyclesPerSecond());
-  reg.SetSummary("run/latency_cycles", result.latency_cycles);
+  StatsRegistry& reg = AddEngineRun(label, engine, result);
+  const uint32_t n_chips = engine->n_chips();
+  const uint32_t workers_per_chip = engine->options().workers_per_chip;
+  std::vector<uint64_t> committed(n_chips), aborted(n_chips);
+  for (uint32_t w = 0; w < engine->options().n_workers; ++w) {
+    committed[engine->ChipOf(w)] += engine->worker(w).stats().committed;
+    aborted[engine->ChipOf(w)] += engine->worker(w).stats().aborted;
+  }
+  reg.SetCounter("cluster/n_chips", n_chips);
+  reg.SetCounter("cluster/workers_per_chip", workers_per_chip);
+  for (uint32_t c = 0; c < n_chips; ++c) {
+    const std::string p = "cluster/chips/" + std::to_string(c) + "/";
+    reg.SetCounter(p + "committed", committed[c]);
+    reg.SetCounter(p + "aborted", aborted[c]);
+  }
+  reg.SetCounter("run/cluster/n_chips", n_chips);
+  reg.SetCounter("run/cluster/workers_per_chip", workers_per_chip);
+  reg.SetGauge("run/cluster/multisite_fraction", multisite_fraction);
   reg.SetGauge("run/latency/p50", result.latency_cycles.Quantile(0.5));
   reg.SetGauge("run/latency/p99", result.latency_cycles.Quantile(0.99));
-  reg.SetCounter("run/cluster/n_chips", cluster->n_chips());
-  reg.SetCounter("run/cluster/workers_per_chip",
-                 cluster->workers_per_chip());
-  reg.SetGauge("run/cluster/multisite_fraction", multisite_fraction);
   for (size_t c = 0; c < result.chips.size(); ++c) {
     const auto& chip = result.chips[c];
     const std::string p = "run/chips/" + std::to_string(c) + "/";

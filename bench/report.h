@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "common/stats.h"
 #include "core/engine.h"
 #include "host/driver.h"
@@ -59,16 +58,15 @@ class BenchReport {
                               core::BionicDb* engine,
                               const host::OpenLoopResult& result);
 
-  /// Records a cluster closed-loop run: the sharded engine's full stats
-  /// (including the `cluster/` and `fabric/interchip/` subtrees), the
-  /// merged run metrics under "run/..." — counted exactly once from the
-  /// already-merged cluster totals, never re-summed from the per-chip rows
-  /// — the cluster shape under "run/cluster/...", and the per-chip rows
-  /// under "run/chips/<c>/...". The run-level latency summary is the
-  /// count-weighted merge of the per-chip digests.
+  /// Records a closed-loop run on a multi-chip engine: the closed-loop
+  /// run above, plus the chip shape and per-chip commit/abort totals
+  /// under "cluster/...", latency/p50|p99 gauges, the shape and multisite
+  /// fraction under "run/cluster/...", and the result's per-chip rows
+  /// under "run/chips/<c>/...". The run totals are written once from the
+  /// result, never re-summed from the per-chip rows.
   StatsRegistry& AddClusterRun(const std::string& label,
-                               cluster::ClusterDb* cluster,
-                               const host::ClusterRunResult& result,
+                               core::BionicDb* engine,
+                               const host::ClosedLoopResult& result,
                                double multisite_fraction);
 
   std::string ToJson() const;

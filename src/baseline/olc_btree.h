@@ -86,9 +86,6 @@ class OlcBTree {
       }
     }
     void WriteUnlock() { version.fetch_add(2, std::memory_order_release); }
-    void WriteUnlockObsolete() {
-      version.fetch_add(3, std::memory_order_release);
-    }
   };
 
   // Key/value slots are written under the node write lock but read

@@ -109,13 +109,6 @@ struct Record {
     }
   }
 
-  bool TryLock() {
-    uint64_t t = tid.load(std::memory_order_relaxed);
-    if (tid::Locked(t)) return false;
-    return tid.compare_exchange_strong(t, t | tid::kLockBit,
-                                       std::memory_order_acquire);
-  }
-
   void Unlock() {
     tid.store(tid.load(std::memory_order_relaxed) & ~tid::kLockBit,
               std::memory_order_release);

@@ -28,15 +28,6 @@ enum class CcMode : uint8_t {
   kMvcc,
 };
 
-inline const char* CcModeName(CcMode m) {
-  switch (m) {
-    case CcMode::kTimestamp: return "to";
-    case CcMode::kSgt: return "sgt";
-    case CcMode::kMvcc: return "mvcc";
-  }
-  return "?";
-}
-
 }  // namespace bionicdb::cc
 
 #endif  // BIONICDB_CC_CC_MODE_H_

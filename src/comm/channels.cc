@@ -6,18 +6,17 @@
 namespace bionicdb::comm {
 
 CommFabric::CommFabric(uint32_t n_workers, const sim::TimingConfig& timing,
-                       Topology topology, ClusterConfig cluster)
+                       Topology topology, uint32_t workers_per_chip)
     : sim::Component("comm_fabric"),
       n_workers_(n_workers),
       timing_(timing),
       topology_(topology),
-      cluster_(cluster),
+      workers_per_chip_(workers_per_chip),
       request_inbox_(n_workers),
       response_inbox_(n_workers),
       inbox_owner_(n_workers, nullptr) {
-  if (cluster_.workers_per_node > 0) {
-    n_chips_ = (n_workers_ + cluster_.workers_per_node - 1) /
-               cluster_.workers_per_node;
+  if (workers_per_chip_ > 0) {
+    n_chips_ = (n_workers_ + workers_per_chip_ - 1) / workers_per_chip_;
   }
   if (n_chips_ == 0) n_chips_ = 1;
   links_.resize(size_t(n_chips_) * n_chips_);

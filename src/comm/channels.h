@@ -73,23 +73,17 @@ struct ReliabilityConfig {
 
 class CommFabric : public sim::Component {
  public:
-  /// Multi-chip/multi-node deployment (paper section 4.6 future work:
-  /// "the message-passing channels should be diversified with additional
+  /// Multi-chip deployment (paper section 4.6 future work: "the
+  /// message-passing channels should be diversified with additional
   /// connectivities for inter-node communication"). Workers are grouped
-  /// into chips of `workers_per_node`; messages crossing a chip boundary
+  /// into chips of `workers_per_chip`; messages crossing a chip boundary
   /// ride the inter-chip tier — TimingConfig::interchip_latency_cycles one
   /// way plus an on-chip hop at each end, through a finite-bandwidth
   /// directed link per chip pair (interchip_issue_gap_cycles per packet;
   /// back-to-back packets queue). 0 = single chip, on-chip tier only.
-  struct ClusterConfig {
-    uint32_t workers_per_node = 0;
-  };
-
   CommFabric(uint32_t n_workers, const sim::TimingConfig& timing,
-             Topology topology, ClusterConfig cluster);
-  CommFabric(uint32_t n_workers, const sim::TimingConfig& timing,
-             Topology topology = Topology::kCrossbar)
-      : CommFabric(n_workers, timing, topology, ClusterConfig{}) {}
+             Topology topology = Topology::kCrossbar,
+             uint32_t workers_per_chip = 0);
 
   /// Puts `env` on the wire from `src` to `dst`. Request-class envelopes
   /// ride the request channel, result-class envelopes the response channel;
@@ -129,6 +123,13 @@ class CommFabric : public sim::Component {
   /// One-way latency in cycles between two workers under the configured
   /// topology.
   uint64_t HopLatency(db::WorkerId src, db::WorkerId dst) const;
+
+  /// Chips the workers span (1 when the inter-chip tier is off), and the
+  /// chip of worker `w`.
+  uint32_t n_chips() const { return n_chips_; }
+  uint32_t ChipOf(db::WorkerId w) const {
+    return db::ChipOf(w, workers_per_chip_);
+  }
 
   uint64_t messages_sent() const { return messages_sent_; }
   CounterSet& counters() { return counters_; }
@@ -193,11 +194,6 @@ class CommFabric : public sim::Component {
   void Transmit(uint64_t now, db::WorkerId src, db::WorkerId dst,
                 const Envelope& env, sim::RingQueue<InFlight>* wire);
 
-  /// Chip index of a worker (0 when the cluster tier is off).
-  uint32_t ChipOf(db::WorkerId w) const {
-    return cluster_.workers_per_node > 0 ? w / cluster_.workers_per_node : 0;
-  }
-
   /// Per-cycle steps of Tick: deliveries due on one wire into `inboxes`,
   /// ack arrivals, and retransmission deadlines.
   void DeliverWire(uint64_t cycle, sim::RingQueue<InFlight>* wire,
@@ -208,7 +204,7 @@ class CommFabric : public sim::Component {
   uint32_t n_workers_;
   sim::TimingConfig timing_;
   Topology topology_;
-  ClusterConfig cluster_;
+  uint32_t workers_per_chip_;
   uint32_t n_chips_ = 1;
 
   /// One directed finite-bandwidth link per ordered chip pair, indexed

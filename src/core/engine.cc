@@ -3,6 +3,11 @@
 namespace bionicdb::core {
 
 BionicDb::BionicDb(const EngineOptions& options) : options_(options) {
+  // One chip holding every worker is the plain engine: no inter-chip tier,
+  // no 2PC grouping, no 2PC stats.
+  const uint32_t workers_per_chip =
+      options.workers_per_chip < options.n_workers ? options.workers_per_chip
+                                                   : 0;
   sim_ = std::make_unique<sim::Simulator>(options.timing);
   // One DRAM lane + arena per partition (the per-worker memory channels of
   // Fig. 1b). Must precede table creation so rows land in their partition's
@@ -11,7 +16,7 @@ BionicDb::BionicDb(const EngineOptions& options) : options_(options) {
   database_ = std::make_unique<db::Database>(&sim_->dram(), options.n_workers,
                                              options.seed);
   fabric_ = std::make_unique<comm::CommFabric>(
-      options.n_workers, options.timing, options.topology, options.cluster);
+      options.n_workers, options.timing, options.topology, workers_per_chip);
   fabric_->set_reliability(options.reliability);
   sim_->AddComponent(fabric_.get());
   for (uint32_t w = 0; w < options.n_workers; ++w) {
@@ -22,7 +27,8 @@ BionicDb::BionicDb(const EngineOptions& options) : options_(options) {
     index::IndexCoprocessor::Config coproc = options.coproc;
     coproc.cc_unit = cc_units_.back().get();
     workers_.push_back(std::make_unique<PartitionWorker>(
-        database_.get(), w, options.timing, softcore, coproc, fabric_.get()));
+        database_.get(), w, options.timing, softcore, coproc,
+        workers_per_chip, fabric_.get()));
     sim_->AddComponent(workers_.back().get(), w);
     // Deliveries into worker w's inboxes wake worker w.
     fabric_->set_inbox_owner(w, workers_.back().get());

@@ -42,8 +42,12 @@ struct EngineOptions {
   Softcore::Config softcore;
   index::IndexCoprocessor::Config coproc;
   comm::Topology topology = comm::Topology::kCrossbar;
-  /// Multi-chip/multi-node deployment (0 = everything on one chip).
-  comm::CommFabric::ClusterConfig cluster;
+  /// Multi-chip deployment (DESIGN.md section 14): consecutive worker ids
+  /// group into chips of this many workers. The fabric routes
+  /// chip-crossing packets over the inter-chip tier, and commits that
+  /// write a foreign chip run two-phase commit. 0, or a value that leaves
+  /// a single chip, is the plain one-chip engine.
+  uint32_t workers_per_chip = 0;
   /// Channel delivery guarantees (ack/retransmit/dedup). Off by default:
   /// the paper's channels are lossless and pay no protocol overhead.
   comm::ReliabilityConfig reliability;
@@ -73,6 +77,12 @@ class BionicDb {
   /// Partition i's CC unit.
   const cc::CcUnit& cc_unit(uint32_t i) const { return *cc_units_[i]; }
   comm::CommFabric& fabric() { return *fabric_; }
+
+  /// Chips the workers group into (EngineOptions::workers_per_chip); 1 on
+  /// a one-chip engine.
+  uint32_t n_chips() const { return fabric_->n_chips(); }
+  /// Chip of worker `w`; 0 on a one-chip engine.
+  uint32_t ChipOf(db::WorkerId w) const { return fabric_->ChipOf(w); }
 
   /// Uploads a pre-compiled stored procedure to every worker's catalogue.
   Status RegisterProcedure(db::TxnTypeId type, isa::Program program,

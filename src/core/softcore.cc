@@ -10,12 +10,13 @@ namespace bionicdb::core {
 
 Softcore::Softcore(db::Database* db, db::WorkerId worker_id,
                    const sim::TimingConfig& timing, Config config,
-                   comm::IssuePort* port)
+                   uint32_t workers_per_chip, comm::IssuePort* port)
     : db_(db),
       dram_(db->dram()),
       worker_id_(worker_id),
       timing_(timing),
       config_(config),
+      workers_per_chip_(workers_per_chip),
       port_(port),
       gp_(config.n_gp_regs, 0),
       cp_(config.n_cp_regs, 0),
@@ -142,9 +143,8 @@ void Softcore::Tick(uint64_t now) {
         state_ = State::kRunning;
         busy_until_ = now + 1;
       } else {
-        (ChipOfWorker(pending_partition_) != ChipOfWorker(worker_id_)
-             ? fc_interchip_window_stall_
-             : fc_dispatch_stall_)
+        (ForeignChip(pending_partition_) ? fc_interchip_window_stall_
+                                         : fc_dispatch_stall_)
             .Add();
       }
       return;
@@ -629,13 +629,12 @@ void Softcore::ExecuteDb(uint64_t now, const isa::Instruction& inst) {
 }
 
 bool Softcore::StartTwoPc(uint64_t now, bool want_commit) {
-  if (config_.two_pc.workers_per_chip == 0) return false;
+  if (workers_per_chip_ == 0) return false;
   TxnContext& ctx = contexts_[cur_ctx_];
-  const uint32_t my_chip = ChipOfWorker(worker_id_);
   twopc_.parts.clear();
   for (const cc::WriteSetEntry& e : ctx.write_set) {
     const uint32_t owner = dram_->OwnerPartition(e.tuple_addr);
-    if (ChipOfWorker(owner) == my_chip) continue;
+    if (!ForeignChip(owner)) continue;
     TwoPcRun::Participant* part = nullptr;
     for (TwoPcRun::Participant& p : twopc_.parts) {
       if (p.worker == owner) {
@@ -669,15 +668,12 @@ bool Softcore::StartTwoPc(uint64_t now, bool want_commit) {
 
 void Softcore::EnterDecisionPhase(uint64_t now) {
   TxnContext& ctx = contexts_[cur_ctx_];
-  const uint32_t my_chip = ChipOfWorker(worker_id_);
   const bool commit = twopc_.decision_commit;
   // Chip-local entries follow the classic publication paths; foreign-chip
   // entries travel inside the CommitReq and apply at the participant.
   uint64_t local_applies = 0;
   for (const cc::WriteSetEntry& e : ctx.write_set) {
-    if (ChipOfWorker(dram_->OwnerPartition(e.tuple_addr)) != my_chip) {
-      continue;
-    }
+    if (ForeignChip(dram_->OwnerPartition(e.tuple_addr))) continue;
     if (!dram_->IsLocalTo(e.tuple_addr, worker_id_)) {
       comm::Envelope env = MakeMemOp(
           commit ? comm::MemOp::Kind::kCommit : comm::MemOp::Kind::kAbort,

@@ -55,15 +55,14 @@ class Softcore {
     uint32_t n_gp_regs = 256;
     uint32_t n_cp_regs = 256;
 
-    /// Multi-chip two-phase commit (DESIGN.md section 14). Workers are
-    /// grouped into chips of `workers_per_chip` (matching the fabric's
-    /// ClusterConfig); a COMMIT/ABORT whose write-set touches a foreign
-    /// chip runs 2PC — PrepareReq/PrepareAck voting, then CommitReq
-    /// carrying the decision plus that chip's write-set entries — instead
-    /// of the fire-and-forget kMemOp publication used within a chip.
-    /// 0 = single chip, 2PC never engages.
+    /// Multi-chip two-phase commit (DESIGN.md section 14). When the
+    /// engine groups workers into chips (EngineOptions::workers_per_chip),
+    /// a COMMIT/ABORT whose write-set touches a foreign chip runs 2PC —
+    /// PrepareReq/PrepareAck voting, then CommitReq carrying the decision
+    /// plus that chip's write-set entries — instead of the fire-and-forget
+    /// kMemOp publication used within a chip. On one chip 2PC never
+    /// engages.
     struct TwoPc {
-      uint32_t workers_per_chip = 0;
       /// Coordinator abort deadline for the vote phase. Must exceed the
       /// inter-chip round trip plus fabric retransmit timeouts by a wide
       /// margin or fault-free transactions spuriously abort.
@@ -95,9 +94,10 @@ class Softcore {
     uint64_t instructions = 0;
   };
 
+  /// `workers_per_chip` is the engine's chip grouping (0 = one chip).
   Softcore(db::Database* db, db::WorkerId worker_id,
            const sim::TimingConfig& timing, Config config,
-           comm::IssuePort* port);
+           uint32_t workers_per_chip, comm::IssuePort* port);
 
   /// Queues a transaction block for execution.
   void SubmitBlock(sim::Addr block_base) { input_queue_.push_back(block_base); }
@@ -171,7 +171,7 @@ class Softcore {
       case State::kWaitCp:
         return WaitKind::kCpWait;
       case State::kDispatchRetry:
-        return ChipOfWorker(pending_partition_) != ChipOfWorker(worker_id_)
+        return ForeignChip(pending_partition_)
                    ? WaitKind::kInterchipWait
                    : WaitKind::kDispatchBlocked;
       case State::kTwoPcPrepare:
@@ -181,13 +181,6 @@ class Softcore {
         return WaitKind::kIdle;
     }
     return WaitKind::kIdle;
-  }
-
-  /// Chip index of a worker under the 2PC grouping (0 when off).
-  uint32_t ChipOfWorker(uint32_t w) const {
-    return config_.two_pc.workers_per_chip > 0
-               ? w / config_.two_pc.workers_per_chip
-               : 0;
   }
 
   /// Dumps execution counters and batch statistics under `scope`.
@@ -266,11 +259,18 @@ class Softcore {
   /// Side-effect-free probe of TryResumeWaiter's search.
   bool AnyResumableWaiter() const;
 
+  /// True when worker `w` sits on another chip than this softcore's.
+  bool ForeignChip(uint32_t w) const {
+    return db::ChipOf(w, workers_per_chip_) !=
+           db::ChipOf(worker_id_, workers_per_chip_);
+  }
+
   db::Database* db_;
   sim::DramMemory* dram_;
   db::WorkerId worker_id_;
   sim::TimingConfig timing_;
   Config config_;
+  uint32_t workers_per_chip_;
   comm::IssuePort* port_;
 
   sim::RingQueue<sim::Addr> input_queue_;

@@ -9,15 +9,25 @@ PartitionWorker::PartitionWorker(db::Database* db, db::WorkerId id,
                                  const sim::TimingConfig& timing,
                                  Softcore::Config softcore_config,
                                  index::IndexCoprocessor::Config coproc_config,
+                                 uint32_t workers_per_chip,
                                  comm::CommFabric* fabric)
     : sim::Component("worker/" + std::to_string(id)),
       id_(id),
       fabric_(fabric),
-      dram_(db->dram()) {
-  two_pc_ = softcore_config.two_pc;
+      dram_(db->dram()),
+      workers_per_chip_(workers_per_chip),
+      interchip_window_(softcore_config.two_pc.interchip_window) {
   coproc_ = std::make_unique<index::IndexCoprocessor>(db, id, coproc_config);
   softcore_ = std::make_unique<Softcore>(db, id, timing, softcore_config,
-                                         this);
+                                         workers_per_chip, this);
+}
+
+void PartitionWorker::RetireWindowedRequest(const comm::Envelope& response) {
+  if (response.hdr.sent_at == 0) return;  // a local request
+  remote_rtt_.Add(double(now_ - response.hdr.sent_at));
+  if (ForeignChip(response.hdr.src) && interchip_inflight_ > 0) {
+    --interchip_inflight_;
+  }
 }
 
 bool PartitionWorker::Issue(db::WorkerId dst, const comm::Envelope& env) {
@@ -27,7 +37,7 @@ bool PartitionWorker::Issue(db::WorkerId dst, const comm::Envelope& env) {
     // fabric send (re-)stamps hdr.src with this worker's id so receivers
     // can attribute the packet (2PC ack matching, window accounting).
     const comm::MessageClass cls = env.cls();
-    if (ChipOfWorker(dst) != ChipOfWorker(id_) &&
+    if (ForeignChip(dst) &&
         (cls == comm::MessageClass::kIndexOp ||
          cls == comm::MessageClass::kPrepareReq ||
          cls == comm::MessageClass::kCommitReq)) {
@@ -35,7 +45,7 @@ bool PartitionWorker::Issue(db::WorkerId dst, const comm::Envelope& env) {
       // window rejects the Issue — the caller retries, charging the
       // interchip-backpressure bucket. Responses and posted kMemOps are
       // exempt (rejecting them would wedge the request/response pairing).
-      if (interchip_inflight_ >= two_pc_.interchip_window) return false;
+      if (interchip_inflight_ >= interchip_window_) return false;
       ++interchip_inflight_;
     }
     comm::Envelope stamped = env;
@@ -53,13 +63,7 @@ bool PartitionWorker::Issue(db::WorkerId dst, const comm::Envelope& env) {
     case comm::MessageClass::kMemOp:
       return HandleMemOp(now_, env);
     case comm::MessageClass::kIndexResult:
-      if (env.hdr.sent_at != 0) {
-        remote_rtt_.Add(double(now_ - env.hdr.sent_at));
-        if (ChipOfWorker(env.hdr.src) != ChipOfWorker(id_) &&
-            interchip_inflight_ > 0) {
-          --interchip_inflight_;
-        }
-      }
+      RetireWindowedRequest(env);
       softcore_->WriteCp(env);
       return true;
     case comm::MessageClass::kMemResult:
@@ -82,23 +86,11 @@ bool PartitionWorker::Issue(db::WorkerId dst, const comm::Envelope& env) {
     case comm::MessageClass::kCommitReq:
       return HandleCommitReq(now_, env);
     case comm::MessageClass::kPrepareAck:
-      if (env.hdr.sent_at != 0) {
-        remote_rtt_.Add(double(now_ - env.hdr.sent_at));
-        if (ChipOfWorker(env.hdr.src) != ChipOfWorker(id_) &&
-            interchip_inflight_ > 0) {
-          --interchip_inflight_;
-        }
-      }
+      RetireWindowedRequest(env);
       softcore_->HandlePrepareAck(now_, env);
       return true;
     case comm::MessageClass::kCommitAck:
-      if (env.hdr.sent_at != 0) {
-        remote_rtt_.Add(double(now_ - env.hdr.sent_at));
-        if (ChipOfWorker(env.hdr.src) != ChipOfWorker(id_) &&
-            interchip_inflight_ > 0) {
-          --interchip_inflight_;
-        }
-      }
+      RetireWindowedRequest(env);
       softcore_->HandleCommitAck(now_, env);
       return true;
   }
@@ -294,7 +286,7 @@ void PartitionWorker::CollectStats(StatsScope scope) const {
   if (cycles_.interchip_stall > 0) {
     cyc.SetCounter("interchip_stall", cycles_.interchip_stall);
   }
-  if (two_pc_.workers_per_chip > 0) {
+  if (workers_per_chip_ > 0) {
     StatsScope tp = scope.Sub("twopc_participant");
     tp.SetCounter("applies", twopc_participant_applies_);
     tp.SetCounter("dup_decisions", twopc_dup_decisions_);

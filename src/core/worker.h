@@ -25,11 +25,12 @@ namespace bionicdb::core {
 
 class PartitionWorker : public sim::Component, public comm::IssuePort {
  public:
+  /// `workers_per_chip` is the engine's chip grouping (0 = one chip).
   PartitionWorker(db::Database* db, db::WorkerId id,
                   const sim::TimingConfig& timing,
                   Softcore::Config softcore_config,
                   index::IndexCoprocessor::Config coproc_config,
-                  comm::CommFabric* fabric);
+                  uint32_t workers_per_chip, comm::CommFabric* fabric);
 
   /// Queues a transaction block on this worker's input queue. Callers are
   /// outside the worker's Tick, so it touches the worker first.
@@ -162,10 +163,17 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
   /// delivery re-acks so a lost first ack cannot wedge the coordinator.
   bool HandleCommitReq(uint64_t cycle, const comm::Envelope& env);
 
-  /// Chip index of a worker under the 2PC grouping (0 when off).
-  uint32_t ChipOfWorker(db::WorkerId w) const {
-    return two_pc_.workers_per_chip > 0 ? w / two_pc_.workers_per_chip : 0;
+  /// True when worker `w` sits on another chip than this worker.
+  bool ForeignChip(db::WorkerId w) const {
+    return db::ChipOf(w, workers_per_chip_) !=
+           db::ChipOf(id_, workers_per_chip_);
   }
+
+  /// A response to one of this worker's windowed requests (kIndexOp,
+  /// kPrepareReq, kCommitReq) arrived: samples the round trip of a fabric
+  /// request and frees the inter-chip window slot of one that crossed
+  /// chips.
+  void RetireWindowedRequest(const comm::Envelope& response);
 
   db::WorkerId id_;
   comm::CommFabric* fabric_;
@@ -182,8 +190,10 @@ class PartitionWorker : public sim::Component, public comm::IssuePort {
   std::map<uint64_t, comm::Envelope> mem_pending_;
   uint64_t mem_cookie_next_ = 1;
 
-  // --- Multi-chip state (Softcore::Config::TwoPc; inert when off) -------
-  Softcore::Config::TwoPc two_pc_;
+  // --- Multi-chip state (inert on one chip) -----------------------------
+  uint32_t workers_per_chip_;
+  /// Softcore::Config::TwoPc::interchip_window.
+  uint32_t interchip_window_;
   /// Outstanding cross-chip requests (kIndexOp / kPrepareReq / kCommitReq)
   /// this worker has on the wire; a full window rejects further Issues.
   /// Decremented when the matching response returns from a foreign chip.

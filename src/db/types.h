@@ -18,6 +18,12 @@ using TxnTypeId = uint32_t;
 /// Marks "route to the local partition" in DB instructions.
 constexpr int32_t kLocalPartition = -1;
 
+/// Chip of worker `w` when consecutive worker ids group into chips of
+/// `workers_per_chip` (DESIGN.md section 14); 0 means one chip.
+constexpr uint32_t ChipOf(WorkerId w, uint32_t workers_per_chip) {
+  return workers_per_chip > 0 ? w / workers_per_chip : 0;
+}
+
 /// Tuple header flag bits.
 enum TupleFlags : uint8_t {
   kFlagDirty = 1 << 0,      // uncommitted write in progress

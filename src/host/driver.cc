@@ -108,29 +108,16 @@ RunResult RunToCompletion(core::BionicDb* engine, const TxnList& txns,
 ClosedLoopResult RunClosedLoop(core::BionicDb* engine,
                                const TxnFactory& factory,
                                const ClosedLoopOptions& options) {
-  // The one-chip cluster loop: its single chip row holds every outcome,
-  // and merging that row's latency summary into the empty cluster summary
-  // is an exact copy.
-  return RunClusterClosedLoop(engine, /*workers_per_chip=*/0, factory,
-                              options);
-}
-
-ClusterRunResult RunClusterClosedLoop(core::BionicDb* engine,
-                                      uint32_t workers_per_chip,
-                                      const TxnFactory& factory,
-                                      const ClosedLoopOptions& options) {
   struct Outstanding {
     sim::Addr block;
     uint64_t submitted_at;
   };
   const uint32_t workers = engine->database().n_partitions();
-  const uint32_t wpc = workers_per_chip > 0 ? workers_per_chip : workers;
-  const uint32_t n_chips = (workers + wpc - 1) / wpc;
   std::vector<std::vector<Outstanding>> outstanding(workers);
   std::vector<uint64_t> remaining(workers, options.txns_per_worker);
 
-  ClusterRunResult result;
-  result.chips.resize(n_chips);
+  ClosedLoopResult result;
+  result.chips.resize(engine->n_chips());
   sim::DramMemory* dram = &engine->simulator().dram();
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t start_cycle = engine->now();
@@ -138,8 +125,8 @@ ClusterRunResult RunClusterClosedLoop(core::BionicDb* engine,
   const uint64_t target = uint64_t(workers) * options.txns_per_worker;
   uint64_t committed_total = 0;
 
-  auto chip_of = [&](uint32_t w) -> ClusterRunResult::ChipResult& {
-    return result.chips[w / wpc];
+  auto chip_of = [&](uint32_t w) -> ClosedLoopResult::ChipResult& {
+    return result.chips[engine->ChipOf(w)];
   };
   auto refill = [&](db::WorkerId w) {
     while (outstanding[w].size() < options.inflight_per_worker &&
@@ -194,10 +181,11 @@ ClusterRunResult RunClusterClosedLoop(core::BionicDb* engine,
       chip_of(w).failed += outstanding[w].size();
     }
   }
-  // Cluster totals: sum the per-chip rows exactly once, and merge the
-  // per-chip latency digests (count-weighted by construction — merging
-  // digests is the only correct way to get a cluster p99; averaging
-  // per-chip p99s is not).
+  // Totals: sum the per-chip rows exactly once, and merge the per-chip
+  // latency digests (count-weighted by construction — merging digests is
+  // the only correct way to get a multi-chip p99; averaging per-chip p99s
+  // is not). On one chip the merge into the empty summary is an exact
+  // copy.
   for (const auto& chip : result.chips) {
     result.submitted += chip.submitted;
     result.committed += chip.committed;

@@ -92,30 +92,12 @@ struct ClosedLoopResult {
   /// observed commit, across retries), with quantiles.
   Summary latency_cycles;
 
-  /// Host-side simulation speed (simulated cycles per wall second).
-  double SimCyclesPerSecond() const {
-    return wall_seconds > 0 ? double(cycles) / wall_seconds : 0;
-  }
-};
-
-/// Drives the engine like a closed-loop client: keeps `inflight_per_worker`
-/// transactions outstanding per worker, measures each transaction's commit
-/// latency, retries aborts in place. This is the throughput/latency-curve
-/// harness (the open-loop RunToCompletion measures throughput only, since
-/// pre-queued blocks spend arbitrary time waiting in the input queue).
-ClosedLoopResult RunClosedLoop(core::BionicDb* engine,
-                               const TxnFactory& factory,
-                               const ClosedLoopOptions& options);
-
-// --- Cluster-aware closed-loop driving ------------------------------------
-
-/// Closed-loop result for a sharded multi-chip engine: the same loop as
-/// RunClosedLoop, with every outcome additionally attributed to the chip
-/// whose worker ran the transaction. The cluster-level latency summary is
-/// the count-weighted merge (Summary::MergeFrom) of the per-chip summaries
-/// — merging the digests, never averaging per-chip quantiles — and the
-/// cluster totals are the sums of the per-chip rows, counted exactly once.
-struct ClusterRunResult : ClosedLoopResult {
+  /// One row per chip of the engine (core::BionicDb::n_chips), holding
+  /// the outcomes of the transactions its workers ran. The totals above
+  /// are the sums of these rows, counted exactly once, and
+  /// `latency_cycles` is the count-weighted merge (Summary::MergeFrom) of
+  /// the per-chip summaries — merging the digests, never averaging
+  /// per-chip quantiles. submitted == committed + failed holds per chip.
   struct ChipResult {
     uint64_t submitted = 0;
     uint64_t committed = 0;
@@ -124,17 +106,22 @@ struct ClusterRunResult : ClosedLoopResult {
     Summary latency_cycles;
   };
   std::vector<ChipResult> chips;
+
+  /// Host-side simulation speed (simulated cycles per wall second).
+  double SimCyclesPerSecond() const {
+    return wall_seconds > 0 ? double(cycles) / wall_seconds : 0;
+  }
 };
 
-/// RunClosedLoop for a sharded engine: `workers_per_chip` groups the
-/// engine's worker id space into chips (it must match the engine's cluster
-/// configuration; pass the engine's total worker count or 0 for a single
-/// chip). submitted == committed + failed holds on return, per chip and in
-/// total.
-ClusterRunResult RunClusterClosedLoop(core::BionicDb* engine,
-                                      uint32_t workers_per_chip,
-                                      const TxnFactory& factory,
-                                      const ClosedLoopOptions& options);
+/// Drives the engine like a closed-loop client: keeps `inflight_per_worker`
+/// transactions outstanding per worker, measures each transaction's commit
+/// latency, retries aborts in place, and attributes every outcome to the
+/// chip of the worker that ran it. This is the throughput/latency-curve
+/// harness (the open-loop RunToCompletion measures throughput only, since
+/// pre-queued blocks spend arbitrary time waiting in the input queue).
+ClosedLoopResult RunClosedLoop(core::BionicDb* engine,
+                               const TxnFactory& factory,
+                               const ClosedLoopOptions& options);
 
 // --- Open-loop driving with admission control -----------------------------
 

@@ -50,7 +50,8 @@ struct TimingConfig {
   /// One-way latency of the inter-chip fabric tier (NIC/PCIe class — a
   /// 2 µs network hop is 250 cycles at 125 MHz). Applies on top of the
   /// on-chip hops at each end when a packet crosses chips; only meaningful
-  /// when comm::ClusterConfig partitions the workers into chips.
+  /// when core::EngineOptions::workers_per_chip groups the workers into
+  /// chips.
   uint32_t interchip_latency_cycles = 250;
 
   /// Cycles an inter-chip link is occupied serialising one packet

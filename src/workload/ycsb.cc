@@ -155,9 +155,9 @@ isa::Program MultisiteUpdateProgram(uint32_t n, uint32_t u) {
 }  // namespace
 
 Ycsb::Ycsb(core::BionicDb* engine, const YcsbOptions& options)
-    : engine_(engine),
-      options_(options),
-      zipf_(options.records_per_partition) {}
+    : engine_(engine), options_(options) {
+  if (options.zipfian) zipf_.emplace(options.records_per_partition);
+}
 
 Status Ycsb::Setup() {
   db::TableSchema schema;
@@ -221,9 +221,8 @@ Status Ycsb::Setup() {
 }
 
 uint64_t Ycsb::RandomKey(Rng* rng, db::PartitionId partition) {
-  uint64_t local = options_.zipfian
-                       ? zipf_.Next(rng)
-                       : rng->NextUint64(options_.records_per_partition);
+  uint64_t local = zipf_ ? zipf_->Next(rng)
+                        : rng->NextUint64(options_.records_per_partition);
   return uint64_t(partition) * options_.records_per_partition + local;
 }
 
@@ -283,8 +282,8 @@ sim::Addr Ycsb::MakeTxn(Rng* rng, db::WorkerId worker) {
     }
     case YcsbOptions::Mode::kMultisiteUpdate: {
       const uint32_t parts = engine_->database().n_partitions();
-      const uint32_t wpc = options_.workers_per_chip;
-      const uint32_t n_chips = wpc > 0 ? (parts + wpc - 1) / wpc : 1;
+      const uint32_t wpc = engine_->options().workers_per_chip;
+      const uint32_t n_chips = engine_->n_chips();
       // The multisite coin is only flipped when there is more than one
       // chip, so single-chip runs consume the identical RNG stream at
       // every fraction (their throughput is the fraction-independent
@@ -301,7 +300,7 @@ sim::Addr Ycsb::MakeTxn(Rng* rng, db::WorkerId worker) {
           // Even update slots write a foreign-chip partition: every
           // multisite transaction carries at least one remote write leg
           // (slot 0), so it cannot commit without the 2PC round.
-          const uint32_t my_chip = worker / wpc;
+          const uint32_t my_chip = engine_->ChipOf(worker);
           uint32_t chip = uint32_t(rng->NextUint64(n_chips - 1));
           if (chip >= my_chip) ++chip;
           const uint32_t base = chip * wpc;

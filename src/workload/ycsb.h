@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -31,10 +32,10 @@ struct YcsbOptions {
     /// Update mix with explicit per-access partition routing across a
     /// sharded cluster: a `multisite_fraction` of transactions write at
     /// least one tuple owned by a foreign chip, forcing the engine's
-    /// two-phase distributed commit. Single-chip runs (workers_per_chip
-    /// = 0 or one chip) never draw the multisite coin, so their RNG
-    /// stream — and therefore their results — are identical across
-    /// fractions.
+    /// two-phase distributed commit. Chips are the engine's
+    /// (EngineOptions::workers_per_chip); one-chip engines never draw the
+    /// multisite coin, so their RNG stream — and therefore their results
+    /// — are identical across fractions.
     kMultisiteUpdate,
   };
 
@@ -53,9 +54,6 @@ struct YcsbOptions {
   double remote_fraction = 0.75;
   /// kMultisiteUpdate: probability that a transaction spans chips.
   double multisite_fraction = 0.1;
-  /// kMultisiteUpdate: chip grouping (must match the engine's
-  /// Softcore::Config::TwoPc::workers_per_chip; 0 = single chip).
-  uint32_t workers_per_chip = 0;
   bool zipfian = false;            // uniform by default (paper uses uniform)
 };
 
@@ -93,7 +91,8 @@ class Ycsb {
   core::BionicDb* engine_;
   YcsbOptions options_;
   uint64_t block_data_size_ = 0;
-  ZipfianGenerator zipf_;
+  /// Built only when `zipfian` is set: its zeta costs one pow per key.
+  std::optional<ZipfianGenerator> zipf_;
 };
 
 }  // namespace bionicdb::workload

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "comm/envelope.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -64,21 +63,19 @@ struct RunOutput {
   uint32_t fault_digest = 0;
 };
 
-/// Builds a 2-chip cluster, drives one batch of all-multisite update
+/// Builds a 2-chip engine, drives one batch of all-multisite update
 /// transactions with unique keys (no retries: an abort must stay visible),
 /// and shadow-verifies commit-everywhere-or-abort-everywhere per txn.
 RunOutput RunBatch(Mode mode, const fault::FaultConfig* fault_cfg,
               uint32_t prepare_timeout_cycles = 0) {
-  cluster::ClusterOptions copts;
-  copts.n_chips = kChips;
-  copts.workers_per_chip = kWorkersPerChip;
-  copts.engine.timing.event_driven = mode == Mode::kEventDriven;
+  core::EngineOptions opts;
+  opts.n_workers = kChips * kWorkersPerChip;
+  opts.workers_per_chip = kWorkersPerChip;
+  opts.timing.event_driven = mode == Mode::kEventDriven;
   if (prepare_timeout_cycles > 0) {
-    copts.engine.softcore.two_pc.prepare_timeout_cycles =
-        prepare_timeout_cycles;
+    opts.softcore.two_pc.prepare_timeout_cycles = prepare_timeout_cycles;
   }
-  cluster::ClusterDb cluster(copts);
-  core::BionicDb& engine = cluster.engine();
+  core::BionicDb engine(opts);
   sim::DramMemory& dram = engine.simulator().dram();
 
   std::unique_ptr<fault::FaultScheduler> sched;
@@ -94,7 +91,6 @@ RunOutput RunBatch(Mode mode, const fault::FaultConfig* fault_cfg,
   wopts.accesses_per_txn = kAccesses;
   wopts.updates_per_txn = kAccesses;
   wopts.multisite_fraction = 1.0;
-  wopts.workers_per_chip = kWorkersPerChip;
   workload::Ycsb ycsb(&engine, wopts);
   EXPECT_TRUE(ycsb.Setup().ok());
 
@@ -139,7 +135,7 @@ RunOutput RunBatch(Mode mode, const fault::FaultConfig* fault_cfg,
   out.run = host::RunToCompletion(&engine, txns, /*retry_aborts=*/false);
   out.final_now = engine.now();
   StatsRegistry reg;
-  cluster.CollectStats(&reg);
+  engine.CollectStats(&reg);
   out.stats_json = reg.ToJson();
   if (sched != nullptr) {
     EXPECT_GT(sched->events().size(), 0u);
@@ -214,6 +210,46 @@ TEST(Cluster2Pc, CoordinatorTimeoutAbortsEverywhere) {
   EXPECT_EQ(out.run.committed, 0u);
   EXPECT_EQ(out.run.failed, out.run.submitted);
   EXPECT_NE(out.stats_json.find("twopc_prepare_timeouts"), std::string::npos);
+}
+
+/// Engine stats after a small closed-loop run on 4 workers grouped
+/// `workers_per_chip` to a chip.
+std::string StatsWithChipSize(uint32_t workers_per_chip,
+                              workload::YcsbOptions::Mode mode) {
+  core::EngineOptions opts;
+  opts.n_workers = 4;
+  opts.workers_per_chip = workers_per_chip;
+  core::BionicDb engine(opts);
+  workload::YcsbOptions wopts;
+  wopts.mode = mode;
+  wopts.records_per_partition = kRecords;
+  wopts.payload_len = 32;
+  wopts.accesses_per_txn = 4;
+  wopts.updates_per_txn = 2;
+  wopts.multisite_fraction = 1.0;
+  workload::Ycsb ycsb(&engine, wopts);
+  EXPECT_TRUE(ycsb.Setup().ok());
+  Rng rng(5);
+  host::ClosedLoopOptions lopts;
+  lopts.inflight_per_worker = 2;
+  lopts.txns_per_worker = 10;
+  EXPECT_EQ(host::RunClosedLoop(&engine, ycsb.Factory(&rng), lopts).failed,
+            0u);
+  StatsRegistry reg;
+  engine.CollectStats(&reg);
+  return reg.ToJson();
+}
+
+TEST(ChipGrouping, OneChipOfEveryWorkerIsThePlainEngine) {
+  // A chip size that leaves a single chip configures nothing: no 2PC
+  // grouping, no inter-chip tier, no 2PC participant stats.
+  for (auto mode : {workload::YcsbOptions::Mode::kMultisite,
+                    workload::YcsbOptions::Mode::kMultisiteUpdate}) {
+    const std::string plain = StatsWithChipSize(0, mode);
+    EXPECT_EQ(plain.find("twopc_participant"), std::string::npos);
+    EXPECT_EQ(StatsWithChipSize(4, mode), plain);
+    EXPECT_EQ(StatsWithChipSize(8, mode), plain);
+  }
 }
 
 void ExpectSame(const RunOutput& base, const RunOutput& other,

@@ -102,11 +102,9 @@ TEST(MessagingLatencyModel, ReproducesTable3) {
 
 
 TEST(CommFabric, MultiNodeCrossingPaysNetworkLatency) {
-  CommFabric::ClusterConfig cluster;
-  cluster.workers_per_node = 4;
   sim::TimingConfig timing = Cfg();
   timing.interchip_latency_cycles = 250;
-  CommFabric fabric(8, timing, Topology::kCrossbar, cluster);
+  CommFabric fabric(8, timing, Topology::kCrossbar, /*workers_per_chip=*/4);
   // Intra-node: plain on-chip hop.
   EXPECT_EQ(fabric.HopLatency(0, 3), 3u);
   EXPECT_EQ(fabric.HopLatency(5, 7), 3u);
@@ -116,11 +114,9 @@ TEST(CommFabric, MultiNodeCrossingPaysNetworkLatency) {
 }
 
 TEST(CommFabric, ShortPathMessagesOvertakeLongOnes) {
-  CommFabric::ClusterConfig cluster;
-  cluster.workers_per_node = 2;
   sim::TimingConfig timing = Cfg();
   timing.interchip_latency_cycles = 100;
-  CommFabric fabric(4, timing, Topology::kCrossbar, cluster);
+  CommFabric fabric(4, timing, Topology::kCrossbar, /*workers_per_chip=*/2);
   fabric.Send(0, /*src=*/2, /*dst=*/1, Op(1));  // cross-node, slow
   fabric.Send(0, /*src=*/0, /*dst=*/1, Op(2));  // on-chip, fast
   fabric.Tick(10);
@@ -130,15 +126,13 @@ TEST(CommFabric, ShortPathMessagesOvertakeLongOnes) {
   EXPECT_EQ(fabric.requests(1).size(), 2u);
 }
 
-TEST(CommFabric, RingUnderClusterConfig) {
+TEST(CommFabric, RingUnderChipGrouping) {
   // 8 workers on a ring, grouped into two 4-worker nodes. Intra-node pairs
   // pay ring distance; node-crossing pairs pay the network hop plus one
   // on-chip hop at each end — even when they are ring neighbours.
-  CommFabric::ClusterConfig cluster;
-  cluster.workers_per_node = 4;
   sim::TimingConfig timing = Cfg();
   timing.interchip_latency_cycles = 250;
-  CommFabric fabric(8, timing, Topology::kRing, cluster);
+  CommFabric fabric(8, timing, Topology::kRing, /*workers_per_chip=*/4);
   EXPECT_EQ(fabric.HopLatency(0, 1), 3u);    // ring neighbours, same node
   EXPECT_EQ(fabric.HopLatency(0, 3), 9u);    // 3 ring steps, same node
   EXPECT_EQ(fabric.HopLatency(4, 7), 9u);    // second node, same rule

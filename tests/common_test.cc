@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "common/hash.h"
 #include "common/parallel.h"
 #include "common/random.h"
-#include "common/ring_queue.h"
 #include "common/json.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -118,36 +116,6 @@ TEST(Hash, Sdbm64ConsistentWithBytes) {
   EXPECT_EQ(SdbmHash64(key), SdbmHash(bytes, 8));
 }
 
-TEST(RingQueue, FifoAndCapacity) {
-  RingQueue<int> q(3);
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
-  EXPECT_TRUE(q.Push(3));
-  EXPECT_TRUE(q.full());
-  EXPECT_FALSE(q.Push(4));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
-  EXPECT_TRUE(q.Push(4));
-  EXPECT_EQ(q.Pop(), 3);
-  EXPECT_EQ(q.Pop(), 4);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(RingQueue, WrapsManyTimes) {
-  RingQueue<uint64_t> q(5);
-  uint64_t next_in = 0, next_out = 0;
-  for (int round = 0; round < 100; ++round) {
-    while (q.Push(next_in)) ++next_in;
-    while (!q.empty()) {
-      EXPECT_EQ(q.Pop(), next_out);
-      ++next_out;
-    }
-  }
-  EXPECT_EQ(next_in, next_out);
-}
-
 TEST(Summary, BasicMoments) {
   Summary s;
   for (int i = 1; i <= 100; ++i) s.Add(i);
@@ -157,20 +125,6 @@ TEST(Summary, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
   EXPECT_NEAR(s.Quantile(0.5), 50.5, 1.0);
   EXPECT_NEAR(s.Quantile(0.99), 99, 1.5);
-}
-
-TEST(RingQueue, ClearDestroysHeldElements) {
-  auto payload = std::make_shared<int>(7);
-  RingQueue<std::shared_ptr<int>> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.Push(payload));
-  EXPECT_EQ(payload.use_count(), 5);
-  q.Clear();
-  // Clear must release the queued copies immediately, not park them in
-  // dead slots until the ring wraps around.
-  EXPECT_EQ(payload.use_count(), 1);
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.Push(payload));
-  EXPECT_EQ(*q.Pop(), 7);
 }
 
 TEST(Summary, QuantileEdgeCases) {

@@ -16,9 +16,10 @@ namespace bionicdb::host {
 namespace {
 
 struct Fixture {
-  explicit Fixture(uint32_t workers = 1) {
+  explicit Fixture(uint32_t workers = 1, uint32_t workers_per_chip = 0) {
     core::EngineOptions opts;
     opts.n_workers = workers;
+    opts.workers_per_chip = workers_per_chip;
     engine = std::make_unique<core::BionicDb>(opts);
     workload::KvOptions kopts;
     kopts.ops_per_txn = 4;
@@ -101,11 +102,45 @@ TEST(ClosedLoop, CommitsTargetAndMeasuresLatency) {
       [&](db::WorkerId w) { return f.kv->MakeSearchTxn(&rng, w); }, opts);
   EXPECT_EQ(result.committed, 40u);
   EXPECT_EQ(result.latency_cycles.count(), 40u);
+  ASSERT_EQ(result.chips.size(), 1u);  // one chip holds every outcome
+  EXPECT_EQ(result.chips[0].committed, 40u);
   EXPECT_GT(result.latency_cycles.min(), 0.0);
   // Quantiles are ordered.
   EXPECT_LE(result.latency_cycles.Quantile(0.5),
             result.latency_cycles.Quantile(0.99));
   EXPECT_GT(result.tps, 0.0);
+}
+
+TEST(ClosedLoop, RowsPerChipOfTheEngineSumToTheTotals) {
+  // The loop reads the grouping from the engine: workers 0-1 and 2-3 are
+  // two chips.
+  Fixture f(/*workers=*/4, /*workers_per_chip=*/2);
+  Rng rng(5);
+  host::ClosedLoopOptions opts;
+  opts.inflight_per_worker = 2;
+  opts.txns_per_worker = 10;
+  auto result = RunClosedLoop(
+      f.engine.get(),
+      [&](db::WorkerId w) { return f.kv->MakeSearchTxn(&rng, w); }, opts);
+  EXPECT_EQ(result.committed, 40u);
+  ASSERT_EQ(result.chips.size(), 2u);
+  ClosedLoopResult::ChipResult sum;
+  for (const auto& chip : result.chips) {
+    EXPECT_EQ(chip.submitted, 20u);  // two workers x 10 transactions
+    EXPECT_EQ(chip.committed + chip.failed, chip.submitted);
+    EXPECT_EQ(chip.latency_cycles.count(), chip.committed);
+    sum.submitted += chip.submitted;
+    sum.committed += chip.committed;
+    sum.failed += chip.failed;
+    sum.retries += chip.retries;
+    sum.latency_cycles.MergeFrom(chip.latency_cycles);
+  }
+  EXPECT_EQ(sum.submitted, result.submitted);
+  EXPECT_EQ(sum.committed, result.committed);
+  EXPECT_EQ(sum.failed, result.failed);
+  EXPECT_EQ(sum.retries, result.retries);
+  EXPECT_EQ(sum.latency_cycles.count(), result.latency_cycles.count());
+  EXPECT_DOUBLE_EQ(sum.latency_cycles.max(), result.latency_cycles.max());
 }
 
 TEST(ClosedLoop, HigherLoadRaisesThroughputAndLatency) {

@@ -604,9 +604,12 @@ TEST(Population, FaultHookMakesItSerialWithTheSameTupleGuards) {
 TEST(Population, RecordCountsPastUint32BucketsAreRejected) {
   // 2^30 rows x 4 buckets overflows uint32_t: Setup must fail in
   // CreateTable, before loading a row into a wrapped, one-bucket table.
-  // (YCSB sizes its table the same way; its constructor's Zipfian over
-  // 2^30 keys alone takes seconds.)
   constexpr uint32_t kRows = 1u << 30;
+  core::BionicDb ycsb_engine(SmallEngine(1));
+  workload::YcsbOptions y;
+  y.records_per_partition = kRows;
+  EXPECT_EQ(workload::Ycsb(&ycsb_engine, y).Setup().code(),
+            StatusCode::kInvalidArgument);
   core::BionicDb bank_engine(SmallEngine(1));
   workload::SmallBankOptions b;
   b.accounts_per_partition = kRows;
